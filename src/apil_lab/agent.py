@@ -3,7 +3,8 @@
 The agent models a distribution over teacher policies with three parts:
 an identity net rho(k|s), a persona embedding table, and a persona-conditioned
 policy net pi(a|s,h). Sampling a policy means sampling an identity, looking up
-its persona, and evaluating the policy net on concat(state, persona).
+its persona, and evaluating the policy net on concat(state, persona). Both
+nets are ``nncore.MLP``s; the persona table is the policy net's embedding.
 
 Posterior sampling perturbs only the policy head ``exe.out.W``: a last-layer
 Laplace approximation with a diagonal Gaussian whose mean is the trained
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nncore import AdamState, Dense, Embedding, ParamSet, softmax, softmax_nll
+from .nncore import MLP, softmax, softmax_nll
 from .teachers import TeacherResponse
 
 HIDDEN_WIDTH = 100
@@ -35,55 +36,37 @@ class PersonaAgent:
         if not prior_precision > 0.0:
             raise ValueError(
                 f"prior precision must be positive, got {prior_precision}")
-        self.state_dim = state_dim
         self.n_actions = n_actions
         self.n_teachers = n_teachers
-        self.persona_dim = persona_dim
-        self.policy_input_dim = state_dim + persona_dim
         self.prior_precision = prior_precision
 
-        self.exe_params = ParamSet()
-        self.pol_hidden = Dense(self.exe_params, "exe.hidden",
-                                self.policy_input_dim, hidden, "tanh", rng)
-        self.pol_out = Dense(self.exe_params, "exe.out",
-                             hidden, n_actions, "identity", rng)
+        self.exe_net = MLP("exe", state_dim, hidden, n_actions, rng, lr,
+                           embed=("persona", n_teachers, persona_dim))
         # diagonal posterior precision of exe.out.W; never decreases
-        self.head_precision = np.full(self.pol_out.w.value.shape,
+        self.head_precision = np.full(self.exe_net.out.w.value.shape,
                                       float(prior_precision))
-        self.personas = Embedding(self.exe_params, "exe.persona",
-                                  n_teachers, persona_dim, rng)
-
-        self.id_params = ParamSet()
-        self.id_hidden = Dense(self.id_params, "id.hidden",
-                               state_dim, hidden, "tanh", rng)
-        self.id_out = Dense(self.id_params, "id.out",
-                            hidden, n_teachers, "identity", rng)
-
-        self.exe_opt = AdamState(self.exe_params, lr=lr)
-        self.id_opt = AdamState(self.id_params, lr=lr)
-        self._pending = 0
+        self.id_net = MLP("id", state_dim, hidden, n_teachers, rng, lr)
 
     # ---------------------------------------------------------------- forward
 
     def identity_probs(self, features: np.ndarray) -> np.ndarray:
-        h, _ = self.id_hidden.forward(features)
-        logits, _ = self.id_out.forward(h)
+        logits, _ = self.id_net.forward(features)
         return softmax(logits)
 
     def posterior_draw(self, rng: np.random.Generator) -> np.ndarray:
         """A standard-normal array shaped like ``exe.out.W``: one posterior sample."""
-        return rng.standard_normal(self.pol_out.w.value.shape)
+        return rng.standard_normal(self.head_precision.shape)
 
     def policy_probs(self, features: np.ndarray, identity: int,
                      draw: np.ndarray | None = None) -> np.ndarray:
         """Policy at the mean weights, or with the head at W + draw/sqrt(precision)."""
-        x = np.concatenate([features, self.personas.forward(identity)])
-        h, _ = self.pol_hidden.forward(x)
         if draw is None:
-            logits, _ = self.pol_out.forward(h)
+            logits, _ = self.exe_net.forward(features, identity)
         else:
-            w = self.pol_out.w.value + draw / np.sqrt(self.head_precision)
-            logits = w @ h + self.pol_out.b.value
+            h, _ = self.exe_net.hidden_forward(features, identity)
+            out = self.exe_net.out
+            w = out.w.value + draw / np.sqrt(self.head_precision)
+            logits = w @ h + out.b.value
         return softmax(logits)
 
     def sample_policy(self, features: np.ndarray, rng: np.random.Generator,
@@ -122,56 +105,32 @@ class PersonaAgent:
         if not 0 <= k_star < self.n_teachers:
             raise IndexError(f"identity {k_star} out of range")
 
-        x = np.concatenate([features, self.personas.forward(k_star)])
-        h, h_cache = self.pol_hidden.forward(x)
-        logits, out_cache = self.pol_out.forward(h)
+        logits, cache = self.exe_net.forward(features, k_star)
         probs, pol_loss, dlogits = softmax_nll(logits, response.exe_action)
+        _, _, (h, _) = cache  # a Dense cache is (input, output)
         self.head_precision += np.outer(probs * (1.0 - probs), h * h)
-        dh = self.pol_out.backward(out_cache, dlogits)
-        dx = self.pol_hidden.backward(h_cache, dh)
-        self.personas.backward(k_star, dx[self.state_dim:])
+        self.exe_net.backward(cache, dlogits)
 
-        h, h_cache = self.id_hidden.forward(features)
-        logits, out_cache = self.id_out.forward(h)
+        logits, cache = self.id_net.forward(features)
         _, id_loss, dlogits = softmax_nll(logits, k_star)
-        dh = self.id_out.backward(out_cache, dlogits)
-        self.id_hidden.backward(h_cache, dh)
-
-        self._pending += 1
+        self.id_net.backward(cache, dlogits)
         return pol_loss, id_loss
 
     def end_episode_update(self) -> None:
         """One Adam step per model, only if the episode contributed losses."""
-        if self._pending == 0:
-            return
-        self.exe_opt.step(self.exe_params)
-        self.id_opt.step(self.id_params)
-        self._pending = 0
-
-    # ----------------------------------------------------------------- acting
-
-    def act(self, features: np.ndarray, queried: bool,
-            response: TeacherResponse | None = None,
-            rng: np.random.Generator | None = None, n_samples: int = 5) -> int:
-        if queried:
-            if response is None:
-                raise ValueError("queried step needs a teacher response")
-            return response.exe_action
-        if rng is None:
-            raise ValueError("acting without a query needs an rng")
-        mean = self.mean_exe_policy(features, n_samples, rng)
-        return int(rng.choice(self.n_actions, p=mean))
+        self.exe_net.update()
+        self.id_net.update()
 
     # ------------------------------------------------------------ persistence
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        arrays = dict(self.exe_params.as_arrays())
-        arrays.update(self.id_params.as_arrays())
+        arrays = dict(self.exe_net.params.as_arrays())
+        arrays.update(self.id_net.params.as_arrays())
         return arrays
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.exe_params.load_arrays(arrays)
-        self.id_params.load_arrays(arrays)
+        self.exe_net.params.load_arrays(arrays)
+        self.id_net.params.load_arrays(arrays)
 
     def posterior_arrays(self) -> dict[str, np.ndarray]:
         """Posterior state saved beside the trainable parameters."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .agent import PersonaAgent
-from .nncore import Dense, Embedding, ParamSet, softmax_nll
+from .nncore import MLP, Dense, Embedding, ParamSet, softmax_nll
 from .query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ErrPredNet, QueryNet,
                     StepRecord, query_imitation_loss)
 from .teachers import TeacherResponse
@@ -49,28 +49,21 @@ def check_params(params: ParamSet, loss_and_backward, loss_fn) -> float:
 
 
 def check_dense(rng: np.random.Generator) -> float:
-    """Two stacked Dense layers (tanh then identity) under an NLL head."""
-    params = ParamSet()
-    h1 = Dense(params, "h1", 6, 5, "tanh", rng)
-    h2 = Dense(params, "h2", 5, 3, "identity", rng)
+    """An MLP's two stacked Dense layers (tanh then identity) under an NLL head."""
+    net = MLP("mlp", 6, 5, 3, rng)
     x = rng.normal(size=6)
     target = int(rng.integers(3))
 
-    def forward():
-        a, ca = h1.forward(x)
-        logits, cb = h2.forward(a)
-        return a, ca, logits, cb
-
     def loss_fn():
-        _, _, logits, _ = forward()
+        logits, _ = net.forward(x)
         return softmax_nll(logits, target)[1]
 
     def backward():
-        _, ca, logits, cb = forward()
+        logits, cache = net.forward(x)
         _, _, dlogits = softmax_nll(logits, target)
-        h1.backward(ca, h2.backward(cb, dlogits))
+        net.backward(cache, dlogits)
 
-    return check_params(params, backward, loss_fn)
+    return check_params(net.params, backward, loss_fn)
 
 
 def check_embedding(rng: np.random.Generator) -> float:
@@ -140,7 +133,6 @@ def check_query_loss(rng: np.random.Generator) -> float:
 
     def backward():
         query_imitation_loss(net, steps, labels)
-        net._pending = 0
 
     def loss_fn():
         total = 0.0
@@ -151,14 +143,15 @@ def check_query_loss(rng: np.random.Generator) -> float:
             total += -np.log(probs[label])
         return total
 
-    return check_params(net.params, backward, loss_fn)
+    return check_params(net.mlp.params, backward, loss_fn)
 
 
 def check_errpred(rng: np.random.Generator) -> float:
     """Squared-error margin regression."""
     net = ErrPredNet(state_dim=4, n_actions=2, rng=rng, hidden=6)
     # shift the head off its constant-1.0 start so the check is non-trivial
-    net.out.w.value[...] = rng.normal(scale=0.1, size=net.out.w.value.shape)
+    head = net.mlp.out.w.value
+    head[...] = rng.normal(scale=0.1, size=head.shape)
     features = rng.normal(size=4)
     probs = rng.random(2)
     probs /= probs.sum()
@@ -166,12 +159,11 @@ def check_errpred(rng: np.random.Generator) -> float:
 
     def backward():
         net.accumulate_sq_loss(features, probs, target)
-        net._pending = 0
 
     def loss_fn():
         return (net.predict(features, probs) - target) ** 2
 
-    return check_params(net.params, backward, loss_fn)
+    return check_params(net.mlp.params, backward, loss_fn)
 
 
 def check_agent_losses(rng: np.random.Generator) -> float:
@@ -184,7 +176,6 @@ def check_agent_losses(rng: np.random.Generator) -> float:
 
     def backward():
         agent.exe_losses(features, response)
-        agent._pending = 0
 
     def loss_fn():
         pol = -np.log(agent.policy_probs(features, response.identity)
@@ -192,15 +183,8 @@ def check_agent_losses(rng: np.random.Generator) -> float:
         rho = agent.identity_probs(features)
         return float(pol - np.log(rho[response.identity]))
 
-    def check(params):
-        params.zero_grad()
-        backward()
-        analytic = {p.name: p.grad.copy() for p in params}
-        params.zero_grad()
-        numeric = fd_gradients(params, loss_fn)
-        return max(relative_error(analytic[n], numeric[n]) for n in analytic)
-
-    return max(check(agent.exe_params), check(agent.id_params))
+    return max(check_params(net.params, backward, loss_fn)
+               for net in (agent.exe_net, agent.id_net))
 
 
 SUITES = (

@@ -22,10 +22,11 @@ from .agent import PersonaAgent
 from .envs import make_env
 from .gradcheck import run_all as run_gradchecks
 from .nncore import load_checkpoint, save_checkpoint
+from .query import NeverQueryPolicy
 from .teachers import TEACHER_MODELS, make_committee
 from .training import (METRICS_COLUMNS, RunConfig, final_query_rate,
                        final_success_rate, read_csv, run_training, write_csv)
-from .uncertainty import UncertaintyConfig, estimate
+from .uncertainty import UncertaintyConfig, aggregate, estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,10 +203,7 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(args.seed)
     init_rng, eval_rng = rng.spawn(2)
     policy = training.make_query_policy(cfg, env, init_rng)
-    try:
-        policy.load_arrays(arrays)
-    except KeyError:
-        pass  # checkpoint predates this policy; evaluate it untrained
+    policy.load_arrays(arrays)
     summary = training.evaluate(agent, policy, env, committee, args.episodes,
                                 eval_rng, n1=args.n1, greedy_exe=args.greedy)
     print(json.dumps(summary))
@@ -295,18 +293,13 @@ def visited_state_weights(agent, env, committee, n_episodes: int,
     """Unique states visited by the agent's own policy, with visit counts."""
     seen: dict[bytes, tuple[np.ndarray, str, int]] = {}
     for _ in range(n_episodes):
-        committee.select_member(rng)
-        state = env.reset()
-        t = 0
-        while t < env.horizon and not state.terminal:
-            features = env.encode(state)
-            key = features.tobytes()
-            state_id = f"r{state.agent.row}c{state.agent.col}"
-            feats, sid, count = seen.get(key, (features, state_id, 0))
+        traj, _ = training.rollout(agent, committee, env, NeverQueryPolicy(),
+                                   rng, n1)
+        for step in traj.steps:
+            key = step.features.tobytes()
+            state_id = f"r{step.state.agent.row}c{step.state.agent.col}"
+            feats, sid, count = seen.get(key, (step.features, state_id, 0))
             seen[key] = (feats, sid, count + 1)
-            action = agent.act(features, queried=False, rng=rng, n_samples=n1)
-            state = env.step(state, action)
-            t += 1
     return list(seen.values())
 
 
@@ -316,25 +309,12 @@ def uncertainty_report_rows(agent, env, committee, n_episodes: int,
     """Per-state uncertainty over states the trained agent actually visits,
     plus a visit-weighted aggregate row."""
     visited = visited_state_weights(agent, env, committee, n_episodes, rng)
-    rows = []
-    agg = {"intrinsic": 0.0, "behavioral": 0.0, "total": 0.0}
-    total_visits = sum(count for _, _, count in visited)
-    for features, state_id, count in visited:
-        rep = estimate(agent, features, ucfg, rng, state_id=state_id)
-        rows.append({"state_id": state_id, "intrinsic": rep.intrinsic,
-                     "extrinsic": rep.extrinsic, "behavioral": rep.behavioral,
-                     "total": rep.total, "model": rep.model,
-                     "n1": ucfg.n1, "n2": ucfg.n2})
-        weight = count / total_visits
-        agg["intrinsic"] += weight * rep.intrinsic
-        agg["behavioral"] += weight * rep.behavioral
-        agg["total"] += weight * rep.total
-    rows.sort(key=lambda r: r["state_id"])
-    rows.append({"state_id": "mean", "intrinsic": agg["intrinsic"],
-                 "extrinsic": agg["behavioral"] - agg["intrinsic"],
-                 "behavioral": agg["behavioral"], "total": agg["total"],
-                 "model": agg["total"] - agg["behavioral"],
-                 "n1": ucfg.n1, "n2": ucfg.n2})
+    reports = [estimate(agent, features, ucfg, rng, state_id=state_id)
+               for features, state_id, _ in visited]
+    rows = sorted((asdict(rep) for rep in reports),
+                  key=lambda r: r["state_id"])
+    counts = [count for _, _, count in visited]
+    rows.append(asdict(aggregate(reports, counts, ucfg)))
     return rows
 
 

@@ -1,9 +1,10 @@
 """Minimal dense-network substrate with hand-written backprop.
 
-All arithmetic is float64 numpy. Networks are built from Dense layers and
-Embedding tables whose parameters live in a ParamSet (named value + gradient
-accumulator pairs), optimized with a self-contained Adam implementation.
-Checkpoints use a small versioned binary container; see ``save_checkpoint``.
+All arithmetic is float64 numpy. Every network in the package is an ``MLP``
+of two Dense layers, optionally fed an Embedding row, that owns its ParamSet
+(named value + gradient accumulator pairs) and its Adam state: ``backward``
+accumulates gradients, ``update`` applies them. Checkpoints use a small
+versioned binary container; see ``save_checkpoint``.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class ParamSet:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for p in self:
             if p.name not in arrays:
-                raise KeyError(f"missing parameter {p.name!r}")
+                raise ValueError(f"checkpoint has no parameter {p.name!r}")
             arr = np.asarray(arrays[p.name], dtype=np.float64)
             if arr.shape != p.value.shape:
                 raise ValueError(
@@ -159,12 +160,62 @@ class Embedding:
         self.table.grad[index] += dout
 
 
+class MLP:
+    """Two-layer net ``<prefix>.hidden`` (tanh) -> ``<prefix>.out`` (identity).
+
+    ``embed=(name, rows, dim)`` adds a table ``<prefix>.<name>`` whose row
+    ``index`` is appended to every input. Parameters are created, and draw
+    from ``rng``, in the order hidden W, out W, table.
+    """
+
+    def __init__(self, prefix: str, in_dim: int, hidden: int, out_dim: int,
+                 rng: np.random.Generator, lr: float = 1e-3,
+                 embed: tuple[str, int, int] | None = None):
+        self.params = ParamSet()
+        self.in_dim = in_dim
+        name, rows, dim = embed or ("", 0, 0)
+        self.hidden = Dense(self.params, f"{prefix}.hidden", in_dim + dim,
+                            hidden, "tanh", rng)
+        self.out = Dense(self.params, f"{prefix}.out",
+                         hidden, out_dim, "identity", rng)
+        self.embed = (Embedding(self.params, f"{prefix}.{name}", rows, dim, rng)
+                      if embed else None)
+        self.opt = AdamState(self.params, lr=lr)
+        self.pending = 0
+
+    def hidden_forward(self, x: np.ndarray, index: int | None = None):
+        """Hidden activation and its cache; the embedding row joins ``x``."""
+        if self.embed is not None:
+            x = np.concatenate([x, self.embed.forward(index)])
+        return self.hidden.forward(x)
+
+    def forward(self, x: np.ndarray, index: int | None = None):
+        """Return (output, (index, hidden-layer cache, out-layer cache))."""
+        h, h_cache = self.hidden_forward(x, index)
+        y, out_cache = self.out.forward(h)
+        return y, (index, h_cache, out_cache)
+
+    def backward(self, cache, dy: np.ndarray) -> None:
+        """Accumulate the gradients of one forward pass."""
+        index, h_cache, out_cache = cache
+        dx = self.hidden.backward(h_cache, self.out.backward(out_cache, dy))
+        if self.embed is not None:
+            self.embed.backward(index, dx[self.in_dim:])
+        self.pending += 1
+
+    def update(self) -> None:
+        """One Adam step, only if gradients accumulated since the last one."""
+        if self.pending == 0:
+            return
+        self.opt.step(self.params)
+        self.pending = 0
+
+
 @dataclass(frozen=True)
 class DropoutSpec:
     """Inverted dropout: zeros with probability ``rate``, else scales by 1/(1-rate)."""
 
     rate: float
-    target: str = "input"
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:

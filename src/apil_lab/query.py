@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nncore import AdamState, Dense, Embedding, ParamSet, softmax, softmax_nll
+from .nncore import MLP, softmax, softmax_nll
 
 ASK_CONTINUE = 0
 ASK_QUERY = 1
@@ -30,6 +30,7 @@ class StepRecord:
     ask_action: int
     mean_policy: np.ndarray | None = None
     remaining: int = 0
+    state: object = None  # the environment state the step acted in
 
 
 @dataclass
@@ -112,14 +113,6 @@ def ignore_labels(traj: Trajectory, cfg: ApilConfig) -> list[int]:
     return labels
 
 
-def always_query() -> int:
-    return ASK_QUERY
-
-
-def never_query() -> int:
-    return ASK_CONTINUE
-
-
 # ---------------------------------------------------------------- ask network
 
 
@@ -134,63 +127,26 @@ class QueryNet:
 
     def __init__(self, state_dim: int, n_actions: int, horizon: int,
                  rng: np.random.Generator, hidden: int = 100, lr: float = 1e-3):
-        self.state_dim = state_dim
-        self.n_actions = n_actions
-        self.horizon = horizon
-        self.params = ParamSet()
-        in_dim = state_dim + n_actions + self.STEPS_EMBED_DIM
-        self.hidden = Dense(self.params, "ask.hidden", in_dim, hidden, "tanh", rng)
-        self.out = Dense(self.params, "ask.out", hidden, 2, "identity", rng)
-        self.steps_embed = Embedding(self.params, "ask.steps",
-                                     horizon + 1, self.STEPS_EMBED_DIM, rng)
-        self.opt = AdamState(self.params, lr=lr)
-        self._pending = 0
+        self.mlp = MLP("ask", state_dim + n_actions, hidden, 2, rng, lr,
+                       embed=("steps", horizon + 1, self.STEPS_EMBED_DIM))
 
-    def _input(self, features, mean_policy, remaining):
+    def logits(self, features, mean_policy, remaining: int):
+        """Return (logits, MLP cache) of one ask decision."""
         if mean_policy is None:
             raise ValueError("ask decision needs the mean execution policy")
-        return np.concatenate([features, mean_policy,
-                               self.steps_embed.forward(remaining)])
+        return self.mlp.forward(np.concatenate([features, mean_policy]),
+                                remaining)
 
     def forward(self, features, mean_policy, remaining: int) -> np.ndarray:
-        x = self._input(features, mean_policy, remaining)
-        h, _ = self.hidden.forward(x)
-        logits, _ = self.out.forward(h)
+        logits, _ = self.logits(features, mean_policy, remaining)
         return softmax(logits)
-
-    def forward_cached(self, features, mean_policy, remaining: int):
-        x = self._input(features, mean_policy, remaining)
-        h, h_cache = self.hidden.forward(x)
-        logits, out_cache = self.out.forward(h)
-        return softmax(logits), (remaining, h_cache, out_cache)
-
-    def backward_from_dlogits(self, cache, dlogits: np.ndarray) -> None:
-        remaining, h_cache, out_cache = cache
-        dh = self.out.backward(out_cache, dlogits)
-        dx = self.hidden.backward(h_cache, dh)
-        self.steps_embed.backward(remaining, dx[self.state_dim + self.n_actions:])
-        self._pending += 1
 
     def accumulate_nll(self, features, mean_policy, remaining: int,
                        label: int) -> float:
-        x = self._input(features, mean_policy, remaining)
-        h, h_cache = self.hidden.forward(x)
-        logits, out_cache = self.out.forward(h)
+        logits, cache = self.logits(features, mean_policy, remaining)
         _, loss, dlogits = softmax_nll(logits, label)
-        self.backward_from_dlogits((remaining, h_cache, out_cache), dlogits)
+        self.mlp.backward(cache, dlogits)
         return loss
-
-    def end_episode_update(self) -> None:
-        if self._pending == 0:
-            return
-        self.opt.step(self.params)
-        self._pending = 0
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.as_arrays()
-
-    def load_arrays(self, arrays) -> None:
-        self.params.load_arrays(arrays)
 
 
 def query_imitation_loss(net: QueryNet, steps: list[StepRecord],
@@ -215,21 +171,20 @@ def lemma2_gradient_check(net: QueryNet, step: StepRecord) -> float:
     query count, -grad[log pi(a) * 1{a != query}]. The lemma says they match.
     """
     def grab():
-        grads = {p.name: p.grad.copy() for p in net.params}
-        net.params.zero_grad()
-        net._pending = 0
+        grads = {p.name: p.grad.copy() for p in net.mlp.params}
+        net.mlp.params.zero_grad()
+        net.mlp.pending = 0
         return grads
 
     label = ASK_IGNORE if step.ask_action == ASK_QUERY else ASK_CONTINUE
     query_imitation_loss(net, [step], [label])
     imitation = grab()
 
-    probs, cache = net.forward_cached(step.features, step.mean_policy,
-                                      step.remaining)
+    logits, cache = net.logits(step.features, step.mean_policy, step.remaining)
     if step.ask_action != ASK_QUERY:
-        dlogits = probs.copy()
+        dlogits = softmax(logits)
         dlogits[step.ask_action] -= 1.0
-        net.backward_from_dlogits(cache, dlogits)
+        net.mlp.backward(cache, dlogits)
     reinforce = grab()
 
     return max(float(np.abs(imitation[name] - reinforce[name]).max())
@@ -248,42 +203,19 @@ class ErrPredNet:
 
     def __init__(self, state_dim: int, n_actions: int, rng: np.random.Generator,
                  hidden: int = 100, lr: float = 1e-3):
-        self.params = ParamSet()
-        self.hidden = Dense(self.params, "errpred.hidden",
-                            state_dim + n_actions, hidden, "tanh", rng)
-        self.out = Dense(self.params, "errpred.out", hidden, 1, "identity", rng)
-        self.out.w.value[...] = 0.0
-        self.out.b.value[...] = 1.0
-        self.opt = AdamState(self.params, lr=lr)
-        self._pending = 0
+        self.mlp = MLP("errpred", state_dim + n_actions, hidden, 1, rng, lr)
+        self.mlp.out.w.value[...] = 0.0
+        self.mlp.out.b.value[...] = 1.0
 
     def predict(self, features, mean_policy) -> float:
-        x = np.concatenate([features, mean_policy])
-        h, _ = self.hidden.forward(x)
-        y, _ = self.out.forward(h)
+        y, _ = self.mlp.forward(np.concatenate([features, mean_policy]))
         return float(y[0])
 
     def accumulate_sq_loss(self, features, mean_policy, target: float) -> float:
-        x = np.concatenate([features, mean_policy])
-        h, h_cache = self.hidden.forward(x)
-        y, out_cache = self.out.forward(h)
+        y, cache = self.mlp.forward(np.concatenate([features, mean_policy]))
         err = float(y[0]) - target
-        dh = self.out.backward(out_cache, np.array([2.0 * err]))
-        self.hidden.backward(h_cache, dh)
-        self._pending += 1
+        self.mlp.backward(cache, np.array([2.0 * err]))
         return err * err
-
-    def end_episode_update(self) -> None:
-        if self._pending == 0:
-            return
-        self.opt.step(self.params)
-        self._pending = 0
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.as_arrays()
-
-    def load_arrays(self, arrays) -> None:
-        self.params.load_arrays(arrays)
 
 
 # ------------------------------------------------------------- query policies
@@ -325,12 +257,12 @@ class QueryPolicyBase:
 
 class AlwaysQueryPolicy(QueryPolicyBase):
     def decide(self, ctx: DecisionContext) -> int:
-        return always_query()
+        return ASK_QUERY
 
 
 class NeverQueryPolicy(QueryPolicyBase):
     def decide(self, ctx: DecisionContext) -> int:
-        return never_query()
+        return ASK_CONTINUE
 
 
 class DaggerPolicy(AlwaysQueryPolicy):
@@ -362,14 +294,14 @@ class HindsightQueryPolicy(QueryPolicyBase):
         labels = labeler(traj, self.cfg)
         n_valid = sum(1 for lab in labels if lab != ASK_IGNORE)
         total = query_imitation_loss(self.net, traj.steps, labels)
-        self.net.end_episode_update()
+        self.net.mlp.update()
         return total / n_valid if n_valid else None
 
     def param_arrays(self):
-        return self.net.param_arrays()
+        return self.net.mlp.params.as_arrays()
 
     def load_arrays(self, arrays):
-        self.net.load_arrays(arrays)
+        self.net.mlp.params.load_arrays(arrays)
 
 
 THRESHOLD_KINDS = ("intrun", "extrun", "behvun")
@@ -429,12 +361,12 @@ class ErrPredQueryPolicy(QueryPolicyBase):
         for features, mean_policy, margin in self._pairs:
             total += self.net.accumulate_sq_loss(features, mean_policy, margin)
         loss = total / len(self._pairs)
-        self.net.end_episode_update()
+        self.net.mlp.update()
         self._pairs = []
         return loss
 
     def param_arrays(self):
-        return self.net.param_arrays()
+        return self.net.mlp.params.as_arrays()
 
     def load_arrays(self, arrays):
-        self.net.load_arrays(arrays)
+        self.net.mlp.params.load_arrays(arrays)

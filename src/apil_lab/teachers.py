@@ -89,14 +89,13 @@ def make_committee(model: str) -> Committee:
 def estimate_teacher_final_distance(committee: Committee, env, n_rollouts: int,
                                     rng: np.random.Generator) -> float:
     """Mean final distance over always-query rollouts (the d* baseline)."""
+    from .query import AlwaysQueryPolicy
+    from .training import rollout  # training imports this module
+
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be positive")
     total = 0.0
     for _ in range(n_rollouts):
-        committee.select_member(rng)
-        state = env.reset()
-        while not state.terminal:
-            resp = committee.respond(env, state, rng)
-            state = env.step(state, resp.exe_action)
-        total += env.distance(state)
+        traj, _ = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
+        total += traj.distances[traj.horizon]
     return total / n_rollouts

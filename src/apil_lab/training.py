@@ -4,6 +4,10 @@ One run = one (env, teacher committee, method, seed) cell trained for a fixed
 number of episodes with batch-one updates at episode end. Losses from queried
 steps accumulate into the persona agent; methods with a learned ask policy
 additionally train it on hindsight labels of the finished trajectory.
+
+``rollout`` is the one episode loop: ``run_episode`` adds end-of-episode
+updates and metrics, the probe states and d* are agent-free always-query
+rollouts, and the uncertainty report walks never-query rollouts.
 """
 from __future__ import annotations
 
@@ -108,14 +112,16 @@ def make_query_policy(cfg: RunConfig, env, rng: np.random.Generator):
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
-def run_episode(agent: PersonaAgent, committee, env, policy,
-                rng: np.random.Generator, n1: int = 5,
-                train: bool = True):
-    """Run one episode; returns (Trajectory, EpisodeMetrics).
+def rollout(agent: PersonaAgent | None, committee, env, policy,
+            rng: np.random.Generator, n1: int = 5, train: bool = False,
+            greedy: bool = False):
+    """Walk one episode; returns (Trajectory, policy losses of queried steps).
 
-    Queried steps accumulate agent losses and execute the reference action
-    unless the policy opts out (dagger). Non-queried steps sample from the
-    mean execution policy. Updates fire at episode end only when training.
+    Queried steps execute the reference action unless the policy opts out
+    (dagger) and, when training, accumulate agent losses. Other steps act
+    with the mean execution policy: a sample from it, or its argmax when
+    ``greedy``. The agent is read only when that policy is needed, so an
+    always-query rollout that does not train may pass ``agent=None``.
     """
     committee.select_member(rng)
     policy.begin_episode()
@@ -123,9 +129,8 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
     steps: list[StepRecord] = []
     distances: dict[int, float] = {}
     pol_losses: list[float] = []
-    n_queries = 0
-    t = 0
-    while t < env.horizon and not state.terminal:
+    while not state.terminal:  # every env ends an episode at its horizon
+        t = len(steps)
         features = env.encode(state)
         remaining = env.horizon - t
         mean_policy: np.ndarray | None = None
@@ -140,7 +145,6 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
                               agent=agent, mean_policy=get_mean)
         ask = policy.decide(ctx)
         if ask == ASK_QUERY:
-            n_queries += 1
             response = committee.respond(env, state, rng)
             distances[t] = response.dist
             if train:
@@ -148,29 +152,38 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
                 pol_losses.append(pol_loss)
                 if policy.uses_mean_policy:
                     policy.observe_query(features, get_mean(), response)
-            if policy.act_with_reference:
-                action = response.exe_action
-            else:
-                action = int(rng.choice(env.n_actions, p=get_mean()))
+        if ask == ASK_QUERY and policy.act_with_reference:
+            action = response.exe_action
+        elif greedy:
+            action = int(np.argmax(get_mean()))
         else:
             action = int(rng.choice(env.n_actions, p=get_mean()))
         steps.append(StepRecord(features=features, exe_action=action,
                                 ask_action=ask, mean_policy=mean_policy,
-                                remaining=remaining))
+                                remaining=remaining, state=state))
         state = env.step(state, action)
-        t += 1
 
-    final_dist = env.distance(state)
-    distances[len(steps)] = final_dist
-    traj = Trajectory(steps, distances)
+    distances[len(steps)] = env.distance(state)
+    return Trajectory(steps, distances), pol_losses
 
+
+def run_episode(agent: PersonaAgent, committee, env, policy,
+                rng: np.random.Generator, n1: int = 5,
+                train: bool = True, greedy: bool = False):
+    """Run one episode; returns (Trajectory, EpisodeMetrics).
+
+    A ``rollout`` whose updates fire at episode end, only when training.
+    """
+    traj, pol_losses = rollout(agent, committee, env, policy, rng, n1,
+                               train, greedy)
     ask_loss = None
     if train:
         agent.end_episode_update()
         ask_loss = policy.end_episode(traj)
 
+    final_dist = traj.distances[traj.horizon]
     metrics = EpisodeMetrics(
-        query_rate=n_queries / env.horizon,
+        query_rate=len(traj.queried_steps()) / env.horizon,
         success=final_dist == 0.0,
         final_dist=final_dist,
         exe_loss=float(np.mean(pol_losses)) if pol_losses else None,
@@ -184,12 +197,8 @@ def probe_trajectory_features(env, committee, rng: np.random.Generator,
     """States of a few frozen always-query rollouts, encoded for the agent."""
     features = []
     for _ in range(n_rollouts):
-        committee.select_member(rng)
-        state = env.reset()
-        while not state.terminal:
-            features.append(env.encode(state))
-            resp = committee.respond(env, state, rng)
-            state = env.step(state, resp.exe_action)
+        traj, _ = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
+        features.extend(step.features for step in traj.steps)
     return features
 
 
@@ -224,7 +233,8 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
     env = make_env(cfg.env, cfg.map_path)
     committee = make_committee(cfg.teacher)
     root = np.random.default_rng(cfg.seed)
-    init_rng, train_rng, probe_rng, dstar_rng = root.spawn(4)
+    # eval has its own stream, so turning it on leaves the probes unchanged
+    init_rng, train_rng, probe_rng, dstar_rng, eval_rng = root.spawn(5)
 
     agent = PersonaAgent(env.state_dim, env.n_actions, committee.size,
                          init_rng, lr=cfg.lr)
@@ -272,7 +282,7 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
 
         if cfg.eval_every and (episode + 1) % cfg.eval_every == 0:
             summary = evaluate(agent, policy, env, committee,
-                               cfg.eval_episodes, probe_rng, n1=cfg.n1)
+                               cfg.eval_episodes, eval_rng, n1=cfg.n1)
             eval_rows.append({"episode": episode, **tag, **summary})
 
     if out_path is not None:
@@ -299,12 +309,8 @@ def evaluate(agent: PersonaAgent, policy, env, committee, n_episodes: int,
     try:
         rates, successes, finals = [], [], []
         for _ in range(n_episodes):
-            if greedy_exe:
-                traj, metrics = _greedy_exe_episode(agent, committee, env,
-                                                    policy, rng, n1)
-            else:
-                traj, metrics = run_episode(agent, committee, env, policy, rng,
-                                            n1=n1, train=False)
+            _, metrics = run_episode(agent, committee, env, policy, rng, n1=n1,
+                                     train=False, greedy=greedy_exe)
             rates.append(metrics.query_rate)
             successes.append(metrics.success)
             finals.append(metrics.final_dist)
@@ -314,40 +320,6 @@ def evaluate(agent: PersonaAgent, policy, env, committee, n_episodes: int,
     return {"query_rate": float(np.mean(rates)),
             "success_rate": float(np.mean(successes)),
             "mean_final_dist": float(np.mean(finals))}
-
-
-def _greedy_exe_episode(agent, committee, env, policy, rng, n1):
-    """Evaluation episode taking the argmax of the mean policy when acting."""
-    committee.select_member(rng)
-    policy.begin_episode()
-    state = env.reset()
-    n_queries = 0
-    t = 0
-    while t < env.horizon and not state.terminal:
-        features = env.encode(state)
-        mean_policy = None
-
-        def get_mean():
-            nonlocal mean_policy
-            if mean_policy is None:
-                mean_policy = agent.mean_exe_policy(features, n1, rng)
-            return mean_policy
-
-        ctx = DecisionContext(features=features, remaining=env.horizon - t,
-                              rng=rng, agent=agent, mean_policy=get_mean)
-        ask = policy.decide(ctx)
-        if ask == ASK_QUERY:
-            n_queries += 1
-            response = committee.respond(env, state, rng)
-            action = (response.exe_action if policy.act_with_reference
-                      else int(np.argmax(get_mean())))
-        else:
-            action = int(np.argmax(get_mean()))
-        state = env.step(state, action)
-        t += 1
-    final = env.distance(state)
-    return None, EpisodeMetrics(n_queries / env.horizon, final == 0.0, final,
-                                None, None)
 
 
 def final_query_rate(rows: list[dict], window: int = 100) -> float:

@@ -92,45 +92,21 @@ def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
     )
 
 
-def variance_decomposition(means: np.ndarray, variances: np.ndarray,
-                           weights: np.ndarray):
-    """Law-of-total-variance split of a mixture: (total, intrinsic, extrinsic)."""
-    means = np.asarray(means, dtype=np.float64)
-    variances = np.asarray(variances, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if not means.shape == variances.shape == weights.shape:
-        raise ValueError("means, variances and weights must have equal shapes")
-    if (variances < 0.0).any():
-        raise ValueError("variances must be non-negative")
-    if (weights < 0.0).any() or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be a probability vector")
-    grand_mean = float(weights @ means)
-    intrinsic = float(weights @ variances)
-    extrinsic = float(weights @ (means - grand_mean) ** 2)
-    return intrinsic + extrinsic, intrinsic, extrinsic
-
-
-def mean_report(agent, features_list, cfg: UncertaintyConfig,
-                rng: np.random.Generator,
-                weights=None) -> UncertaintyReport:
-    """Average per-state estimates over a collection of states.
+def aggregate(reports, weights, cfg: UncertaintyConfig) -> UncertaintyReport:
+    """Weighted mean of per-state reports; ``weights`` are normalized by their sum.
 
     Differences (extrinsic, model) are recomputed from the averaged terms so
     the decomposition identities survive aggregation exactly.
     """
-    if not features_list:
+    if not reports:
         raise ValueError("need at least one state")
-    if weights is None:
-        weights = np.full(len(features_list), 1.0 / len(features_list))
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        weights = weights / weights.sum()
+    weight_sum = sum(weights)
     intrinsic = behavioral = total = 0.0
-    for w, feats in zip(weights, features_list):
-        rep = estimate(agent, feats, cfg, rng)
-        intrinsic += float(w) * rep.intrinsic
-        behavioral += float(w) * rep.behavioral
-        total += float(w) * rep.total
+    for rep, weight in zip(reports, weights):
+        w = weight / weight_sum
+        intrinsic += w * rep.intrinsic
+        behavioral += w * rep.behavioral
+        total += w * rep.total
     return UncertaintyReport(
         intrinsic=intrinsic,
         extrinsic=behavioral - intrinsic,
@@ -143,17 +119,8 @@ def mean_report(agent, features_list, cfg: UncertaintyConfig,
     )
 
 
-def sampling_inflation_sweep(snapshots, features_list, n1_values, n2: int,
-                             rng: np.random.Generator) -> dict[int, list[float]]:
-    """Model-uncertainty series per N1 across training-stage snapshots.
-
-    ``snapshots`` is an iterable of agents (or one agent re-loaded per stage);
-    small N1 inflates the model term wherever extrinsic uncertainty is high.
-    """
-    series: dict[int, list[float]] = {int(n1): [] for n1 in n1_values}
-    for agent in snapshots:
-        for n1 in n1_values:
-            cfg = UncertaintyConfig(n1=int(n1), n2=n2)
-            rep = mean_report(agent, features_list, cfg, rng)
-            series[int(n1)].append(rep.model)
-    return series
+def mean_report(agent, features_list, cfg: UncertaintyConfig,
+                rng: np.random.Generator) -> UncertaintyReport:
+    """Equal-weight ``aggregate`` of per-state estimates over a set of states."""
+    reports = [estimate(agent, feats, cfg, rng) for feats in features_list]
+    return aggregate(reports, [1] * len(reports), cfg)

@@ -28,7 +28,7 @@ def _fresh(n_teachers=2, state_dim=25, seed=0, **kwargs):
 def test_construction_defaults_and_validation():
     agent = _fresh()
     assert (HIDDEN_WIDTH, PERSONA_DIM, PRIOR_PRECISION) == (100, 50, 10.0)
-    assert agent.policy_input_dim == 25 + PERSONA_DIM
+    assert agent.exe_net.hidden.w.value.shape[1] == 25 + PERSONA_DIM
     assert agent.prior_precision == PRIOR_PRECISION
     assert set(agent.param_arrays()) == EXPECTED_PARAMS
     with pytest.raises(ValueError):
@@ -55,7 +55,8 @@ def test_sample_policy_single_teacher_and_shared_weights():
         assert np.array_equal(probs, agent.policy_probs(features, 0))
 
     pair = _fresh(n_teachers=2)
-    pair.personas.table.value[1] = pair.personas.table.value[0]
+    personas = pair.exe_net.embed.table.value
+    personas[1] = personas[0]
     assert np.array_equal(pair.policy_probs(features, 0),
                           pair.policy_probs(features, 1))
 
@@ -91,20 +92,20 @@ def test_mean_policy_single_teacher_is_exact():
 
 def test_exe_losses_uniform_start_is_log2():
     agent = _fresh()
-    for params in (agent.exe_params, agent.id_params):
-        for p in params:
+    for net in (agent.exe_net, agent.id_net):
+        for p in net.params:
             p.value[...] = 0.0
     features = np.zeros(25)
     pol_loss, id_loss = agent.exe_losses(features, TeacherResponse(0, 1, 3.0))
     assert pol_loss == pytest.approx(math.log(2), abs=1e-15)
     assert id_loss == pytest.approx(math.log(2), abs=1e-15)
-    assert agent._pending == 1
+    assert agent.exe_net.pending == agent.id_net.pending == 1
 
 
 def test_exe_losses_touch_only_observed_persona_row():
     agent = _fresh()
     agent.exe_losses(np.zeros(25), TeacherResponse(1, 0, 3.0))
-    grad = agent.exe_params["exe.persona"].grad
+    grad = agent.exe_net.params["exe.persona"].grad
     assert np.any(grad[0] != 0.0)
     assert np.array_equal(grad[1], np.zeros(PERSONA_DIM))
 
@@ -130,23 +131,10 @@ def test_end_episode_update_applies_accumulated_losses():
     features[7] = 0.5  # nonzero input so weight matrices receive gradient
     agent.exe_losses(features, TeacherResponse(0, 0, 3.0))
     agent.end_episode_update()
-    assert agent._pending == 0
+    assert agent.exe_net.pending == agent.id_net.pending == 0
     changed = [name for name, value in agent.param_arrays().items()
                if not np.array_equal(value, before[name])]
     assert "exe.out.W" in changed and "id.out.W" in changed
-
-
-def test_act_contract():
-    agent = _fresh()
-    features = np.zeros(25)
-    response = TeacherResponse(1, 0, 2.0)
-    assert agent.act(features, queried=True, response=response) == 1
-    with pytest.raises(ValueError):
-        agent.act(features, queried=True)
-    with pytest.raises(ValueError):
-        agent.act(features, queried=False)
-    agent.mean_exe_policy = lambda features, n, rng: np.array([1.0, 0.0])
-    assert agent.act(features, queried=False, rng=np.random.default_rng(0)) == 0
 
 
 def test_checkpoint_arrays_round_trip():

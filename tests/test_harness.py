@@ -267,6 +267,27 @@ def test_checkpoint_without_posterior_precision_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "u.csv").exists()
 
 
+def test_checkpoint_without_a_trained_array_is_rejected(tmp_path, capsys):
+    _, ckpt = _train(tmp_path)
+    arrays = load_checkpoint(ckpt)
+    del arrays["exe.hidden.W"]
+    save_checkpoint(ckpt, arrays)
+    capsys.readouterr()
+    assert main(["eval", "--load", str(ckpt),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    assert "exe.hidden.W" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_of_another_method(tmp_path, capsys):
+    _, ckpt = _train(tmp_path)  # apil: the checkpoint holds the ask net
+    capsys.readouterr()
+    assert main(["eval", "--method", "errpred", "--load", str(ckpt),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    captured = capsys.readouterr()
+    assert "errpred.hidden.W" in captured.err
+    assert captured.out == ""
+
+
 def test_visited_state_weights_counts():
     env = make_env("grid", None)
     committee = make_committee("detm")

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from apil_lab.nncore import (CHECKPOINT_MAGIC, AdamState, Dense, DropoutSpec,
-                             Embedding, ParamSet, init_weight, load_checkpoint,
-                             sample_dropout_mask, save_checkpoint, softmax,
-                             softmax_nll)
+from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
+                             DropoutSpec, Embedding, ParamSet, init_weight,
+                             load_checkpoint, sample_dropout_mask,
+                             save_checkpoint, softmax, softmax_nll)
 
 
 def test_dense_identity_weights_pass_input_through():
@@ -131,7 +131,7 @@ def test_paramset_rejects_duplicates_and_bad_loads():
     params.add("w", np.zeros(2))
     with pytest.raises(ValueError, match="duplicate"):
         params.add("w", np.zeros(2))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="'w'"):
         params.load_arrays({})
     with pytest.raises(ValueError, match="shape"):
         params.load_arrays({"w": np.zeros(3)})
@@ -154,6 +154,27 @@ def test_embedding_lookup_and_row_sparse_gradient():
     assert np.array_equal(table.table.grad[1], [1.0, 1.0])
     with pytest.raises(IndexError):
         table.forward(3)
+
+
+def test_mlp_layout_embedding_gradient_and_update():
+    net = MLP("m", 3, 4, 2, np.random.default_rng(0), lr=0.1,
+              embed=("e", 5, 2))
+    # checkpoints and the random stream depend on this order
+    assert net.params.names() == ["m.hidden.W", "m.hidden.b", "m.out.W",
+                                  "m.out.b", "m.e"]
+    assert net.hidden.w.value.shape == (4, 3 + 2)
+    net.update()  # nothing accumulated: no Adam step
+    assert net.opt.t == 0
+    y, cache = net.forward(np.ones(3), 1)
+    assert y.shape == (2,)
+    net.backward(cache, np.ones(2))
+    grad = net.params["m.e"].grad
+    assert np.any(grad[1] != 0.0)
+    assert np.array_equal(grad[[0, 2, 3, 4]], np.zeros((4, 2)))
+    assert net.pending == 1
+    net.update()
+    assert (net.pending, net.opt.t) == (0, 1)
+    assert not np.any(grad)  # the step zeroes the accumulators
 
 
 def test_dropout_rate_zero_is_the_identity_mask():

@@ -109,7 +109,7 @@ def test_querynet_untrained_is_near_uniform():
 def test_querynet_zeroed_loss_is_log2_per_step():
     rng = np.random.default_rng(0)
     net = QueryNet(2, 2, horizon=8, rng=rng)
-    for p in net.params:
+    for p in net.mlp.params:
         p.value[...] = 0.0
     traj = make_trajectory(8, [], {8: 0.0})
     loss = query_imitation_loss(net, traj.steps, [ASK_CONTINUE] * 8)
@@ -119,12 +119,12 @@ def test_querynet_zeroed_loss_is_log2_per_step():
 def test_querynet_all_ignore_is_a_noop():
     rng = np.random.default_rng(1)
     net = QueryNet(2, 2, horizon=4, rng=rng)
-    before = {k: v.copy() for k, v in net.param_arrays().items()}
+    before = {k: v.copy() for k, v in net.mlp.params.as_arrays().items()}
     traj = make_trajectory(4, [], {4: 0.0})
     assert query_imitation_loss(net, traj.steps, [ASK_IGNORE] * 4) == 0.0
-    assert net._pending == 0
-    net.end_episode_update()
-    after = net.param_arrays()
+    assert net.mlp.pending == 0
+    net.mlp.update()
+    after = net.mlp.params.as_arrays()
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -159,7 +159,7 @@ def test_errprednet_cold_start_and_training():
     assert net.predict(features, mean) == 1.0
     for _ in range(300):
         net.accumulate_sq_loss(features, mean, 0.0)
-        net.end_episode_update()
+        net.mlp.update()
     assert net.predict(features, mean) < 0.5
 
 
@@ -186,17 +186,17 @@ def test_policy_flags_and_fixed_decisions():
 def test_hindsight_policy_greedy_and_learning():
     rng = np.random.default_rng(0)
     net = QueryNet(2, 2, horizon=4, rng=rng)
-    for p in net.params:
+    for p in net.mlp.params:
         p.value[...] = 0.0
-    net.out.b.value[...] = [0.0, 5.0]  # bias the ask head toward query
+    net.mlp.out.b.value[...] = [0.0, 5.0]  # bias the ask head toward query
     policy = HindsightQueryPolicy(net, CFG, greedy=True)
     assert policy.decide(_ctx()) == ASK_QUERY
 
     net = QueryNet(2, 2, horizon=4, rng=rng)
     policy = HindsightQueryPolicy(net, CFG)
-    before = {k: v.copy() for k, v in net.param_arrays().items()}
+    before = {k: v.copy() for k, v in policy.param_arrays().items()}
     traj = make_trajectory(4, [1], {1: 3.0, 4: 1.0})
     loss = policy.end_episode(traj)
     assert isinstance(loss, float) and loss > 0.0
-    after = net.param_arrays()
+    after = policy.param_arrays()
     assert any(not np.array_equal(before[k], after[k]) for k in before)

@@ -1,4 +1,6 @@
 """Unit tests for the episode loop, training runs, and CSV logging."""
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,3 +181,17 @@ def test_run_episode_without_training_is_read_only():
     after = agent.param_arrays()
     for name, value in before.items():
         assert np.array_equal(value, after[name])
+
+
+def test_periodic_eval_leaves_the_other_outputs_unchanged(tmp_path):
+    cfg = RunConfig(method="dagger", episodes=40, seed=0, probe_every=5,
+                    inflation_n1s=(5, 50))
+    plain = tmp_path / "plain" / "m.csv"
+    evaluated = tmp_path / "eval" / "m.csv"
+    run_training(cfg, out_path=plain)
+    run_training(replace(cfg, eval_every=10, eval_episodes=3),
+                 out_path=evaluated)
+    assert Path(str(evaluated) + ".eval.csv").exists()
+    for suffix in ("", ".inflation.csv"):
+        assert Path(str(plain) + suffix).read_bytes() \
+            == Path(str(evaluated) + suffix).read_bytes(), suffix

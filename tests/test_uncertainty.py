@@ -7,9 +7,8 @@ import pytest
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import EnvState, GridPos, make_env
 from apil_lab.teachers import TeacherResponse
-from apil_lab.uncertainty import (UncertaintyConfig, entropy, estimate,
-                                  mean_report, sampling_inflation_sweep,
-                                  variance_decomposition)
+from apil_lab.uncertainty import (UncertaintyConfig, aggregate, entropy,
+                                  estimate, mean_report)
 
 
 class _StubAgent:
@@ -73,9 +72,9 @@ def test_estimate_deterministic_single_teacher_is_all_zero():
     rng = np.random.default_rng(0)
     agent = PersonaAgent(4, 2, 1, rng, hidden=8, persona_dim=3,
                          prior_precision=math.inf)
-    for p in agent.exe_params:
+    for p in agent.exe_net.params:
         p.value[...] = 0.0
-    agent.pol_out.b.value[...] = [1000.0, 0.0]  # softmax underflows to a delta
+    agent.exe_net.out.b.value[...] = [1000.0, 0.0]  # softmax underflows to a delta
     rep = estimate(agent, np.zeros(4), UncertaintyConfig(5, 4), rng)
     assert (rep.intrinsic, rep.extrinsic, rep.behavioral, rep.total,
             rep.model) == (0.0, 0.0, 0.0, 0.0, 0.0)
@@ -147,45 +146,15 @@ def test_model_term_shrinks_with_queried_data():
     assert 0.0 <= after < before
 
 
-def test_variance_decomposition_hand_cases():
-    total, intrinsic, extrinsic = variance_decomposition(
-        np.array([3.0]), np.array([2.0]), np.array([1.0]))
-    assert (total, intrinsic, extrinsic) == (2.0, 2.0, 0.0)
-    total, intrinsic, extrinsic = variance_decomposition(
-        np.array([0.0, 2.0]), np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-    assert (total, intrinsic, extrinsic) == (1.0, 0.0, 1.0)
-
-
-def test_variance_decomposition_matches_sampling():
-    rng = np.random.default_rng(7)
-    means = rng.normal(size=3)
-    variances = rng.random(3) + 0.1
-    weights = rng.random(3)
-    weights /= weights.sum()
-    total, _, _ = variance_decomposition(means, variances, weights)
-    component = rng.choice(3, size=1_000_000, p=weights)
-    samples = rng.normal(means[component], np.sqrt(variances[component]))
-    assert abs(samples.var() - total) / total < 0.01
-
-
-def test_variance_decomposition_validation():
-    with pytest.raises(ValueError):
-        variance_decomposition(np.zeros(2), np.array([-1.0, 0.0]),
-                               np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        variance_decomposition(np.zeros(2), np.zeros(3), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        variance_decomposition(np.zeros(2), np.zeros(2), np.array([0.5, 0.6]))
-
-
 def test_mean_report_weighted_average():
     agent = _FeatureSwitchAgent()
     uniform_state = np.zeros(4)
     delta_state = np.ones(4)
     cfg = UncertaintyConfig(3, 4)
     rng = np.random.default_rng(0)
-    rep = mean_report(agent, [uniform_state, delta_state], cfg, rng,
-                      weights=[3.0, 1.0])
+    reports = [estimate(agent, s, cfg, rng)
+               for s in (uniform_state, delta_state)]
+    rep = aggregate(reports, [3.0, 1.0], cfg)
     assert rep.state_id == "mean"
     assert rep.intrinsic == pytest.approx(0.75 * math.log(2), abs=1e-12)
     assert rep.extrinsic == 0.0
@@ -194,12 +163,3 @@ def test_mean_report_weighted_average():
     assert even.intrinsic == pytest.approx(0.5 * math.log(2), abs=1e-12)
     with pytest.raises(ValueError):
         mean_report(agent, [], cfg, rng)
-
-
-def test_sampling_inflation_sweep_structure():
-    agent = _StubAgent([0.5, 0.5], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    series = sampling_inflation_sweep([agent, agent], [np.zeros(4)], (5, 50),
-                                      4, np.random.default_rng(0))
-    assert set(series) == {5, 50}
-    assert all(len(values) == 2 for values in series.values())
-    assert all(isinstance(v, float) for values in series.values() for v in values)
