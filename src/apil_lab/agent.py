@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nncore import MLP, softmax, softmax_nll
+from .nncore import MLP, categorical, softmax, softmax_nll
 from .teachers import TeacherResponse
 
 HIDDEN_WIDTH = 100
@@ -59,7 +59,11 @@ class PersonaAgent:
 
     def policy_probs(self, features: np.ndarray, identity: int,
                      draw: np.ndarray | None = None) -> np.ndarray:
-        """Policy at the mean weights, or with the head at W + draw/sqrt(precision)."""
+        """Policy at the mean weights, or with the head at W + draw/sqrt(precision).
+
+        ``draw`` may be one posterior draw or a stack ``(N, *W.shape)`` of them;
+        a stack shares one hidden forward and returns ``(N, n_actions)``.
+        """
         if draw is None:
             logits, _ = self.exe_net.forward(features, identity)
         else:
@@ -69,24 +73,13 @@ class PersonaAgent:
             logits = w @ h + out.b.value
         return softmax(logits)
 
-    def sample_policy(self, features: np.ndarray, rng: np.random.Generator,
-                      posterior_sampling: bool = False):
-        """Sample an identity, then return (identity, its policy ProbVec).
-
-        A fresh posterior draw is taken iff ``posterior_sampling`` is set.
-        """
-        rho = self.identity_probs(features)
-        k = int(rng.choice(self.n_teachers, p=rho))
-        draw = self.posterior_draw(rng) if posterior_sampling else None
-        return k, self.policy_probs(features, k, draw)
-
     def mean_exe_policy(self, features: np.ndarray, n: int,
                         rng: np.random.Generator) -> np.ndarray:
         """Arithmetic mean of ``n`` sampled policies (no posterior sampling)."""
         if n < 1:
             raise ValueError("n must be positive")
         rho = self.identity_probs(features)
-        ks = rng.choice(self.n_teachers, size=n, p=rho)
+        ks = categorical(rho, rng, n)
         counts = np.bincount(ks, minlength=self.n_teachers)
         mean = np.zeros(self.n_actions)
         for k in np.flatnonzero(counts):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import re
 import subprocess
@@ -150,9 +151,56 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         if key not in valid:
             raise _UsageError(f"unknown config field {key!r}")
     for sp in parser.subcommands.values():
-        dests = {action.dest for action in sp._actions}
-        sp.set_defaults(**{k: v for k, v in values.items() if k in dests})
+        actions = {action.dest: action for action in sp._actions}
+        defaults = {}
+        for key, value in values.items():
+            action = actions.get(key)
+            if action is None:
+                continue
+            if action.choices is not None and value not in action.choices:
+                raise _UsageError(f"config field {key!r} must be one of "
+                                  f"{list(action.choices)}, got {value!r}")
+            # a typed flag's default goes in as text, so argparse converts
+            # and checks it like a value given on the command line
+            defaults[key] = str(value) if action.type is not None else value
+        sp.set_defaults(**defaults)
     return argv
+
+
+# (argparse dest, test, what the test asks); nan fails every test
+_VALUE_RULES = [
+    *((dest, lambda v: v >= 1, "be at least 1")
+      for dest in ("n1", "n2", "episodes", "probe_rollouts", "eval_episodes")),
+    *((dest, lambda v: v >= 0, "be at least 0")
+      for dest in ("probe_every", "eval_every", "jobs")),
+    ("lr", lambda v: 0.0 < v < math.inf, "be positive and finite"),
+    ("sigma", lambda v: 1.0 < v < math.inf, "exceed 1 and be finite"),
+    ("epsilon", lambda v: 0.0 <= v < math.inf, "be non-negative and finite"),
+    ("tau", math.isfinite, "be finite"),
+    ("err_threshold", math.isfinite, "be finite"),
+]
+
+
+def _check_values(args) -> None:
+    """Reject flag values no run can use, from flags or ``--config`` alike:
+    a usage error, raised before any work."""
+    given = vars(args)
+    for dest, test, rule in _VALUE_RULES:
+        if dest in given and not test(given[dest]):
+            raise _UsageError(f"--{dest.replace('_', '-')} must {rule}, "
+                              f"got {given[dest]}")
+
+
+def _inflation_n1s(text: str) -> tuple[int, ...]:
+    try:
+        n1s = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise _UsageError(f"--inflation-n1s must be a comma list of "
+                          f"integers, got {text!r}") from None
+    if min(n1s) < 1:
+        raise _UsageError(f"--inflation-n1s values must be at least 1, "
+                          f"got {text!r}")
+    return n1s
 
 
 def _run_config(args, method: str | None = None) -> RunConfig:
@@ -168,8 +216,7 @@ def _run_config(args, method: str | None = None) -> RunConfig:
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     if args.inflation_n1s:
-        n1s = tuple(int(x) for x in args.inflation_n1s.split(","))
-        cfg = replace(cfg, inflation_n1s=n1s)
+        cfg = replace(cfg, inflation_n1s=_inflation_n1s(args.inflation_n1s))
     if args.eval_every:
         cfg = replace(cfg, eval_every=args.eval_every)
     result = run_training(cfg, out_path=args.out)
@@ -236,7 +283,11 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
     cap = os.environ.get(THREADS_ENV_VAR)
     if cap:
-        jobs = max(1, min(jobs, int(cap)))
+        try:
+            jobs = max(1, min(jobs, int(cap)))
+        except ValueError:
+            raise _UsageError(f"{THREADS_ENV_VAR} must be an integer, "
+                              f"got {cap!r}") from None
 
     statuses = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -442,15 +493,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+        _check_values(args)
+    except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except (_UsageError, ValueError, FileNotFoundError) as exc:
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

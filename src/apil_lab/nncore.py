@@ -229,9 +229,36 @@ def sample_dropout_mask(spec: DropoutSpec, width: int,
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
+    """Softmax over the last axis, so a stack of logit rows gives a stack of rows."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def categorical_cdf(p: np.ndarray) -> np.ndarray:
+    """Normalized cdf of a probability vector, checked as ``Generator.choice`` does.
+
+    Raises ``ValueError`` unless ``p`` is finite and non-negative with a sum
+    within sqrt(eps) of 1.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-d vector")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if (p < 0.0).any():
+        raise ValueError("probabilities must be non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def categorical(p: np.ndarray, rng: np.random.Generator, size=None):
+    """Indices drawn from ``p``: the numbers ``rng.choice(len(p), size, p=p)``
+    gives, leaving ``rng`` where ``choice`` leaves it (one uniform per index)."""
+    return categorical_cdf(p).searchsorted(rng.random(size), side="right")
 
 
 def softmax_nll(logits: np.ndarray, target: int):

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nncore import MLP, softmax, softmax_nll
+from .nncore import MLP, categorical, softmax, softmax_nll
 
 ASK_CONTINUE = 0
 ASK_QUERY = 1
@@ -287,7 +287,7 @@ class HindsightQueryPolicy(QueryPolicyBase):
         probs = self.net.forward(ctx.features, ctx.mean_policy(), ctx.remaining)
         if self.greedy:
             return int(np.argmax(probs))
-        return int(ctx.rng.choice(2, p=probs))
+        return int(categorical(probs, ctx.rng))
 
     def end_episode(self, traj: Trajectory) -> float | None:
         labeler = ignore_labels if self.use_ignore else apil_labels

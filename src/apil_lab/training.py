@@ -19,6 +19,7 @@ import numpy as np
 
 from .agent import PersonaAgent
 from .envs import make_env
+from .nncore import categorical
 from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                     HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
@@ -157,7 +158,7 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
         elif greedy:
             action = int(np.argmax(get_mean()))
         else:
-            action = int(rng.choice(env.n_actions, p=get_mean()))
+            action = int(categorical(get_mean(), rng))
         steps.append(StepRecord(features=features, exe_action=action,
                                 ask_action=ask, mean_policy=mean_policy,
                                 remaining=remaining, state=state))
@@ -233,8 +234,10 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
     env = make_env(cfg.env, cfg.map_path)
     committee = make_committee(cfg.teacher)
     root = np.random.default_rng(cfg.seed)
-    # eval has its own stream, so turning it on leaves the probes unchanged
-    init_rng, train_rng, probe_rng, dstar_rng, eval_rng = root.spawn(5)
+    # eval and the inflation series have their own streams, so turning
+    # either on leaves the probes unchanged
+    (init_rng, train_rng, probe_rng, dstar_rng, eval_rng,
+     inflation_rng) = root.spawn(6)
 
     agent = PersonaAgent(env.state_dim, env.n_actions, committee.size,
                          init_rng, lr=cfg.lr)
@@ -263,7 +266,8 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
             probe = mean_report(agent, probe_features, ucfg, probe_rng)
             for n1 in cfg.inflation_n1s:
                 rep = mean_report(agent, probe_features,
-                                  UncertaintyConfig(int(n1), cfg.n2), probe_rng)
+                                  UncertaintyConfig(int(n1), cfg.n2),
+                                  inflation_rng)
                 inflation_rows.append({"episode": episode, **tag,
                                        "n1": int(n1), "model": rep.model})
         _, metrics = run_episode(agent, committee, env, policy, train_rng,

@@ -10,12 +10,20 @@ total predictive entropy, and the model term is total minus the expected
 behavioral term. The posterior concentrates as queried data accumulates, so
 at a generous N1 the model term shrinks with training data; a small N1
 inflates it wherever the extrinsic term is high.
+
+The estimate is batched over its posterior draws: the posterior perturbs only
+the policy head, so an identity's hidden activation does not depend on the
+draw, and one stacked ``policy_probs`` call per identity evaluates it under
+all N2 heads. ``entropy`` works over the last axis for the same reason. The
+random stream and every output bit match a per-draw loop.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nncore import categorical_cdf
 
 
 @dataclass(frozen=True)
@@ -40,46 +48,51 @@ class UncertaintyReport:
     state_id: str = ""
 
 
-def entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats with the 0 log 0 = 0 convention."""
+def entropy(probs: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats over the last axis, with 0 log 0 = 0.
+
+    A float for one probability vector, an array of row entropies for a stack.
+    """
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("entropy expects a non-empty 1-d probability vector")
-    if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("entropy expects a normalized probability vector")
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValueError("entropy expects non-empty probability vectors")
+    if (p < -1e-12).any() or (abs(p.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("entropy expects normalized probability vectors")
+    # log(1) = 0 stands in for log(0), so zero entries add an exact +0.0
+    h = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    return float(h) if p.ndim == 1 else h
 
 
 def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
              rng: np.random.Generator, state_id: str = "") -> UncertaintyReport:
     """Nested Monte-Carlo uncertainty estimate at one state.
 
-    Each of the N2 posterior draws is held fixed across its N1 policy draws;
-    identities repeat, so per-draw policies are evaluated once per distinct
-    identity and mixed by draw counts.
+    The N2 (posterior draw, N1 identities) pairs are taken first, in that
+    interleaved order from ``rng``. Each identity drawn anywhere is then
+    evaluated once under all N2 perturbed heads (one stacked
+    ``policy_probs``), and the per-draw mixtures and intrinsic terms
+    accumulate in ascending identity order, weighted by draw counts; an
+    identity a draw did not pick adds an exact zero to that draw.
     """
     rho = agent.identity_probs(features)
-    behavioral_terms = np.empty(cfg.n2)
-    intrinsic_terms = np.empty(cfg.n2)
-    mixture_sum = np.zeros(agent.n_actions)
-    for i in range(cfg.n2):
-        draw = agent.posterior_draw(rng)
-        ks = rng.choice(agent.n_teachers, size=cfg.n1, p=rho)
-        counts = np.bincount(ks, minlength=agent.n_teachers)
-        mixture = np.zeros(agent.n_actions)
-        intrinsic = 0.0
-        for k in np.flatnonzero(counts):
-            weight = counts[k] / cfg.n1
-            probs = agent.policy_probs(features, int(k), draw)
-            mixture += weight * probs
-            intrinsic += weight * entropy(probs)
-        behavioral_terms[i] = entropy(mixture)
-        intrinsic_terms[i] = intrinsic
-        mixture_sum += mixture
-    behavioral = float(behavioral_terms.mean())
+    cdf = categorical_cdf(rho)  # checked and built once, sampled N2 times
+    draws, counts = [], []
+    for _ in range(cfg.n2):
+        draws.append(agent.posterior_draw(rng))
+        ks = cdf.searchsorted(rng.random(cfg.n1), side="right")
+        counts.append(np.bincount(ks, minlength=agent.n_teachers))
+    draws = np.stack(draws)
+    weights = np.array(counts) / cfg.n1
+    mixtures = np.zeros((cfg.n2, agent.n_actions))
+    intrinsic_terms = np.zeros(cfg.n2)
+    for k in np.flatnonzero(weights.any(axis=0)):
+        probs = agent.policy_probs(features, int(k), draws)
+        mixtures += weights[:, k, None] * probs
+        intrinsic_terms += weights[:, k] * entropy(probs)
+    behavioral = float(entropy(mixtures).mean())
     intrinsic = float(intrinsic_terms.mean())
-    total = entropy(mixture_sum / cfg.n2)
+    # cumsum adds the draws' mixtures one after another, in draw order
+    total = entropy(mixtures.cumsum(axis=0)[-1] / cfg.n2)
     return UncertaintyReport(
         intrinsic=intrinsic,
         extrinsic=behavioral - intrinsic,

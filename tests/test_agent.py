@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import sample_policy
 
 from apil_lab.agent import HIDDEN_WIDTH, PERSONA_DIM, PRIOR_PRECISION, PersonaAgent
 from apil_lab.envs import EnvState, GridPos
@@ -50,7 +51,7 @@ def test_sample_policy_single_teacher_and_shared_weights():
     agent = _fresh(n_teachers=1)
     features = np.zeros(25)
     for _ in range(10):
-        k, probs = agent.sample_policy(features, np.random.default_rng(0))
+        k, probs = sample_policy(agent, features, np.random.default_rng(0))
         assert k == 0
         assert np.array_equal(probs, agent.policy_probs(features, 0))
 
@@ -64,10 +65,10 @@ def test_sample_policy_single_teacher_and_shared_weights():
 def test_sample_policy_is_seeded():
     agent = _fresh()
     features = np.zeros(25)
-    a = agent.sample_policy(features, np.random.default_rng(5),
-                            posterior_sampling=True)
-    b = agent.sample_policy(features, np.random.default_rng(5),
-                            posterior_sampling=True)
+    a = sample_policy(agent, features, np.random.default_rng(5),
+                      posterior_sampling=True)
+    b = sample_policy(agent, features, np.random.default_rng(5),
+                      posterior_sampling=True)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 

@@ -41,6 +41,39 @@ def test_usage_errors_exit_1(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n1", "0"], ["--n2", "0"], ["--lr", "nan"], ["--lr", "0"],
+    ["--sigma", "0.5"], ["--sigma", "nan"], ["--epsilon", "-1"],
+    ["--tau", "nan"], ["--episodes", "0"], ["--inflation-n1s", "5,x"],
+    ["--inflation-n1s", "0"],
+])
+def test_bad_flag_values_exit_1(flags, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["train", *FAST, *flags, "--out", str(out)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n1", 0), ("n1", 2.5), ("n1", "x"), ("n1", None), ("teacher", "bogus"),
+])
+def test_bad_flag_values_from_a_config_file_exit_1(field, value, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert main(["--config", str(cfg), "train", *FAST]) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
+def test_bad_thread_cap_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("APIL_LAB_THREADS", "abc")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", *FAST, "--methods", "never", "--teachers", "detm",
+                 "--seeds", "0", "--outdir", str(outdir)]) == EXIT_USAGE
+    assert "APIL_LAB_THREADS" in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+
+
 def test_config_file_defaults_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"episodes": 3, "teacher": "rand"}))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
-                             DropoutSpec, Embedding, ParamSet, init_weight,
-                             load_checkpoint, sample_dropout_mask,
-                             save_checkpoint, softmax, softmax_nll)
+                             DropoutSpec, Embedding, ParamSet, categorical,
+                             init_weight, load_checkpoint,
+                             sample_dropout_mask, save_checkpoint, softmax,
+                             softmax_nll)
 
 
 def test_dense_identity_weights_pass_input_through():
@@ -67,6 +68,43 @@ def test_softmax_is_stable_for_huge_logits():
         p = softmax(np.array(logits))
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) <= 1e-9
+
+
+def test_softmax_of_a_stack_equals_its_rows():
+    logits = np.random.default_rng(0).normal(size=(7, 5)) * 10.0
+    stacked = softmax(logits)
+    assert stacked.shape == (7, 5)
+    for row, probs in zip(logits, stacked):
+        assert np.array_equal(softmax(row), probs)
+
+
+def test_categorical_matches_generator_choice():
+    """Same indices as ``rng.choice(len(p), size, p=p)``, same stream position."""
+    rng = np.random.default_rng(0)
+    for trial in range(50):
+        p = rng.random(int(rng.integers(1, 7)))
+        p[rng.random(p.size) < 0.3] = 0.0
+        p[0] += 1e-3  # keep one entry positive
+        p /= p.sum()
+        for size in (None, 1, 5, 50, (2, 3)):
+            ours = np.random.default_rng(trial)
+            theirs = np.random.default_rng(trial)
+            got = categorical(p, ours, size)
+            want = theirs.choice(p.size, size=size, p=p)
+            assert np.array_equal(got, want)
+            assert np.shape(got) == np.shape(want)
+            assert ours.random() == theirs.random()
+
+
+def test_categorical_rejects_what_choice_rejects():
+    rng = np.random.default_rng(0)
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.5, -0.5], [0.5, 0.4],
+                [0.6, 0.6], [], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            categorical(np.array(bad), rng)
+        with pytest.raises(ValueError):
+            rng.choice(2, p=np.array(bad))
+    categorical(np.array([0.5, 0.5 + 1e-9]), rng)  # within sqrt(eps) of 1
 
 
 def test_softmax_nll_uniform_case():

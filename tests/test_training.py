@@ -195,3 +195,14 @@ def test_periodic_eval_leaves_the_other_outputs_unchanged(tmp_path):
     for suffix in ("", ".inflation.csv"):
         assert Path(str(plain) + suffix).read_bytes() \
             == Path(str(evaluated) + suffix).read_bytes(), suffix
+
+
+def test_inflation_series_leaves_the_metrics_unchanged(tmp_path):
+    cfg = RunConfig(method="dagger", episodes=30, seed=0, probe_every=5)
+    plain = tmp_path / "plain" / "m.csv"
+    inflated = tmp_path / "inflated" / "m.csv"
+    run_training(cfg, out_path=plain)
+    run_training(replace(cfg, inflation_n1s=(5, 50)), out_path=inflated)
+    assert Path(str(inflated) + ".inflation.csv").exists()
+    assert not Path(str(plain) + ".inflation.csv").exists()
+    assert plain.read_bytes() == inflated.read_bytes()

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from helpers import per_draw_estimate
 
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import EnvState, GridPos, make_env
-from apil_lab.teachers import TeacherResponse
+from apil_lab.teachers import TeacherResponse, make_committee
+from apil_lab.training import RunConfig, run_training
 from apil_lab.uncertainty import (UncertaintyConfig, aggregate, entropy,
                                   estimate, mean_report)
 
@@ -24,10 +26,15 @@ class _StubAgent:
         return self._rho
 
     def posterior_draw(self, rng):
-        return None  # no network, so nothing for the posterior to perturb
+        return np.zeros(0)  # no network, so nothing for the posterior to perturb
 
     def policy_probs(self, features, identity, draw=None):
-        return self._policies[identity]
+        return _rows(self._policies[identity], draw)
+
+
+def _rows(probs, draw):
+    """One policy, repeated once per posterior draw of a stack."""
+    return probs if draw is None else np.tile(probs, (len(draw), 1))
 
 
 class _FeatureSwitchAgent(_StubAgent):
@@ -38,8 +45,8 @@ class _FeatureSwitchAgent(_StubAgent):
 
     def policy_probs(self, features, identity, draw=None):
         if features[0] == 0.0:
-            return np.array([0.5, 0.5])
-        return np.array([1.0, 0.0])
+            return _rows(np.array([0.5, 0.5]), draw)
+        return _rows(np.array([1.0, 0.0]), draw)
 
 
 def test_entropy_examples():
@@ -52,11 +59,28 @@ def test_entropy_rejects_malformed_input():
     with pytest.raises(ValueError):
         entropy(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
-        entropy(np.array([[0.5, 0.5]]))
+        entropy(np.array([[0.5, 0.5], [0.5, 0.4]]))  # one bad row in a stack
+    with pytest.raises(ValueError):
+        entropy(np.array(1.0))
     with pytest.raises(ValueError):
         entropy(np.array([]))
     with pytest.raises(ValueError):
         entropy(np.array([1.5, -0.5]))
+    with pytest.raises(ValueError):
+        entropy(np.array([[1.5, -0.5]]))
+
+
+def test_entropy_of_a_stack_equals_its_rows():
+    rng = np.random.default_rng(0)
+    stack = rng.random((9, 4))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    stack[:, 1] += 1e-3
+    stack /= stack.sum(axis=1, keepdims=True)
+    rows = entropy(stack)
+    assert isinstance(entropy(stack[0]), float)
+    assert rows.shape == (9,)
+    for probs, h in zip(stack, rows):
+        assert entropy(probs) == h
 
 
 def test_config_validation():
@@ -163,3 +187,54 @@ def test_mean_report_weighted_average():
     assert even.intrinsic == pytest.approx(0.5 * math.log(2), abs=1e-12)
     with pytest.raises(ValueError):
         mean_report(agent, [], cfg, rng)
+
+
+@pytest.fixture(scope="module")
+def oracle_agents():
+    """(label, agent, states): grid and maze, one and two teachers, each
+    trained briefly and untrained, plus an untrained three-identity agent."""
+    out = []
+    for env_name, teacher in (("grid", "detm"), ("grid", "twodifdetm"),
+                              ("maze", "detm"), ("maze", "tworand")):
+        result = run_training(RunConfig(method="dagger", env=env_name,
+                                        teacher=teacher, episodes=40, seed=1,
+                                        probe_every=0))
+        env, states = result.env, result.probe_features[::7]
+        fresh = PersonaAgent(env.state_dim, env.n_actions,
+                             make_committee(teacher).size,
+                             np.random.default_rng(2))
+        out.append((f"{env_name}/{teacher}/trained", result.agent, states))
+        out.append((f"{env_name}/{teacher}/untrained", fresh, states))
+    # three identities, so the order in which they accumulate matters
+    out.append(("maze/three/untrained",
+                PersonaAgent(env.state_dim, env.n_actions, 3,
+                             np.random.default_rng(3)), states))
+    return out
+
+
+def test_batched_estimate_equals_the_per_draw_oracle(oracle_agents):
+    """Bitwise-equal reports, and the rng left at the same position."""
+    for label, agent, states in oracle_agents:
+        for n1 in (1, 5, 50):
+            for n2 in (1, 10):
+                cfg = UncertaintyConfig(n1, n2)
+                ours = np.random.default_rng(n1 + 100 * n2)
+                theirs = np.random.default_rng(n1 + 100 * n2)
+                for features in states:
+                    got = estimate(agent, features, cfg, ours, state_id="s")
+                    want = per_draw_estimate(agent, features, cfg, theirs,
+                                             state_id="s")
+                    assert got == want, (label, n1, n2)
+                assert ours.random() == theirs.random(), (label, n1, n2)
+
+
+def test_stacked_policy_probs_equal_single_draws(oracle_agents):
+    rng = np.random.default_rng(0)
+    for label, agent, states in oracle_agents:
+        draws = np.stack([agent.posterior_draw(rng) for _ in range(6)])
+        for k in range(agent.n_teachers):
+            stacked = agent.policy_probs(states[0], k, draws)
+            assert stacked.shape == (6, agent.n_actions), label
+            for draw, probs in zip(draws, stacked):
+                assert np.array_equal(
+                    agent.policy_probs(states[0], k, draw), probs), label
