@@ -198,10 +198,6 @@ class MazeGrid:
         vec[state.agent.row * self.n_cols + state.agent.col] = ENCODE_AGENT
         return vec
 
-    def free_cells(self) -> list[GridPos]:
-        return [GridPos(r, c) for r in range(self.n_rows) for c in range(self.n_cols)
-                if not self._walls[r, c]]
-
 
 def make_env(kind: str, map_path=None):
     if kind == "grid":

@@ -264,13 +264,13 @@ def _sweep_cell(cfg_dict: dict, out_path: str):
 
 
 def cmd_sweep(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     teachers = [t.strip() for t in args.teachers.split(",") if t.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not (methods and teachers and seeds):
-        raise ValueError("sweep needs at least one method, teacher, and seed")
+        raise _UsageError("sweep needs at least one method, teacher, and seed")
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     cells = []
     for method in methods:
         for teacher in teachers:
@@ -502,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # bad data or a file of the run
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

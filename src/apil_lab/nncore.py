@@ -9,6 +9,7 @@ versioned binary container; see ``save_checkpoint``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,8 @@ class ParamSet:
     def __iter__(self):
         return iter(self._params.values())
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def zero_grad(self) -> None:
         for p in self:
@@ -299,6 +294,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a ``save_checkpoint`` file; anything else raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
@@ -308,12 +304,24 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise ValueError(f"unsupported checkpoint version {version}")
         header_len = int.from_bytes(fh.read(4), "little")
         header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"truncated checkpoint at {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        body = fh.read()
+    entries = header.get("params") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("checkpoint header has no params list")
+    arrays: dict[str, np.ndarray] = {}
+    offset = 0
+    for entry in entries:
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and isinstance(entry.get("name"), str)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"bad checkpoint header entry {entry!r}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(body):
+            raise ValueError(f"truncated checkpoint at {entry['name']!r}")
+        arrays[entry["name"]] = np.frombuffer(
+            body, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(body):
+        raise ValueError(f"checkpoint has {len(body) - offset} bytes after "
+                         f"its last array")
     return arrays

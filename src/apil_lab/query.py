@@ -20,8 +20,6 @@ ASK_CONTINUE = 0
 ASK_QUERY = 1
 ASK_IGNORE = 2
 
-ASK_NAMES = {ASK_CONTINUE: "continue", ASK_QUERY: "query", ASK_IGNORE: "ignore"}
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -59,8 +57,6 @@ class ApilConfig:
     sigma: float = 2.0
     epsilon: float = 0.0
     teacher_final_distance: float = 0.0
-    # flips the progress test to g_t <= sigma * g_min (ablation only)
-    leq_gap_test: bool = False
 
     def __post_init__(self):
         if self.sigma <= 1.0:
@@ -85,11 +81,7 @@ def progress_flags(traj: Trajectory, cfg: ApilConfig) -> list[bool]:
     for t in reversed(range(T)):
         if traj.steps[t].ask_action == ASK_QUERY:
             g_t = gap(t)
-            if cfg.leq_gap_test:
-                hit = g_t <= cfg.sigma * g_min
-            else:
-                hit = g_t >= cfg.sigma * g_min
-            progress = progress or hit
+            progress = progress or g_t >= cfg.sigma * g_min
             g_min = min(g_min, g_t)
         flags[t] = progress
     return flags
@@ -163,34 +155,6 @@ def query_imitation_loss(net: QueryNet, steps: list[StepRecord],
     return total
 
 
-def lemma2_gradient_check(net: QueryNet, step: StepRecord) -> float:
-    """Max elementwise gap between two gradient routes at a progressable state.
-
-    Route one is the imitation gradient under the ignore-action labeling of the
-    agent's ask action; route two is the REINFORCE gradient of the expected
-    query count, -grad[log pi(a) * 1{a != query}]. The lemma says they match.
-    """
-    def grab():
-        grads = {p.name: p.grad.copy() for p in net.mlp.params}
-        net.mlp.params.zero_grad()
-        net.mlp.pending = 0
-        return grads
-
-    label = ASK_IGNORE if step.ask_action == ASK_QUERY else ASK_CONTINUE
-    query_imitation_loss(net, [step], [label])
-    imitation = grab()
-
-    logits, cache = net.logits(step.features, step.mean_policy, step.remaining)
-    if step.ask_action != ASK_QUERY:
-        dlogits = softmax(logits)
-        dlogits[step.ask_action] -= 1.0
-        net.mlp.backward(cache, dlogits)
-    reinforce = grab()
-
-    return max(float(np.abs(imitation[name] - reinforce[name]).max())
-               for name in imitation)
-
-
 # --------------------------------------------------------------- err-pred net
 
 
@@ -228,22 +192,17 @@ class DecisionContext:
     rng: np.random.Generator
     agent: object
     mean_policy: Callable[[], np.ndarray]
+    train: bool  # False in a frozen rollout, where a learned policy is greedy
 
 
 class QueryPolicyBase:
-    """Per-step ask decisions plus optional end-of-episode learning."""
+    """Per-step ask decisions; a learned policy trains on each finished
+    trajectory in ``end_episode``."""
 
     act_with_reference = True
-    uses_mean_policy = False
-
-    def begin_episode(self) -> None:
-        pass
 
     def decide(self, ctx: DecisionContext) -> int:
         raise NotImplementedError
-
-    def observe_query(self, features, mean_policy, response) -> None:
-        pass
 
     def end_episode(self, traj: Trajectory) -> float | None:
         return None
@@ -272,22 +231,21 @@ class DaggerPolicy(AlwaysQueryPolicy):
 
 
 class HindsightQueryPolicy(QueryPolicyBase):
-    """Learned ask policy trained on hindsight labels after each episode."""
+    """Learned ask policy trained on hindsight labels after each episode.
 
-    uses_mean_policy = True
+    It samples its decisions while training and takes their argmax when frozen.
+    """
 
-    def __init__(self, net: QueryNet, cfg: ApilConfig, use_ignore: bool = False,
-                 greedy: bool = False):
+    def __init__(self, net: QueryNet, cfg: ApilConfig, use_ignore: bool = False):
         self.net = net
         self.cfg = cfg
         self.use_ignore = use_ignore
-        self.greedy = greedy
 
     def decide(self, ctx: DecisionContext) -> int:
         probs = self.net.forward(ctx.features, ctx.mean_policy(), ctx.remaining)
-        if self.greedy:
-            return int(np.argmax(probs))
-        return int(categorical(probs, ctx.rng))
+        if ctx.train:
+            return int(categorical(probs, ctx.rng))
+        return int(np.argmax(probs))
 
     def end_episode(self, traj: Trajectory) -> float | None:
         labeler = ignore_labels if self.use_ignore else apil_labels
@@ -339,31 +297,28 @@ class ThresholdQueryPolicy(QueryPolicyBase):
 class ErrPredQueryPolicy(QueryPolicyBase):
     """Queries when the predicted margin 1 - pi(a*|s) exceeds a threshold."""
 
-    uses_mean_policy = True
-
     def __init__(self, net: ErrPredNet, threshold: float = 0.5):
         self.net = net
         self.threshold = threshold
-        self._pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
 
     def decide(self, ctx: DecisionContext) -> int:
         pred = self.net.predict(ctx.features, ctx.mean_policy())
         return ASK_QUERY if pred > self.threshold else ASK_CONTINUE
 
-    def observe_query(self, features, mean_policy, response) -> None:
-        margin = 1.0 - float(mean_policy[response.exe_action])
-        self._pairs.append((features, mean_policy, margin))
-
     def end_episode(self, traj: Trajectory) -> float | None:
-        if not self._pairs:
+        """Regress the margin at each queried step; return the mean squared
+        error. A queried step acted with the teacher's answer a* and holds
+        the mean policy that ``decide`` saw."""
+        queried = [traj.steps[t] for t in traj.queried_steps()]
+        if not queried:
             return None
         total = 0.0
-        for features, mean_policy, margin in self._pairs:
-            total += self.net.accumulate_sq_loss(features, mean_policy, margin)
-        loss = total / len(self._pairs)
+        for step in queried:
+            margin = 1.0 - float(step.mean_policy[step.exe_action])
+            total += self.net.accumulate_sq_loss(step.features,
+                                                 step.mean_policy, margin)
         self.net.mlp.update()
-        self._pairs = []
-        return loss
+        return total / len(queried)
 
     def param_arrays(self):
         return self.net.mlp.params.as_arrays()

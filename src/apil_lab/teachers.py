@@ -61,22 +61,6 @@ class Committee:
             action = refs[int(rng.integers(len(refs)))]
         return TeacherResponse(action, self.active_member, env.distance(state))
 
-    def action_distribution(self, env, state, member: int | None = None) -> np.ndarray:
-        """Exact per-member action distribution; mixture over members if None."""
-        if member is None:
-            dists = [self.action_distribution(env, state, m) for m in range(self.size)]
-            return np.mean(dists, axis=0)
-        kind = self.members[member]
-        refs = env.ref_action_set(state)
-        probs = np.zeros(env.n_actions)
-        if kind is TeacherKind.DETM_FIRST:
-            probs[refs[0]] = 1.0
-        elif kind is TeacherKind.DETM_LAST:
-            probs[refs[-1]] = 1.0
-        else:
-            probs[list(refs)] = 1.0 / len(refs)
-        return probs
-
 
 def make_committee(model: str) -> Committee:
     if model not in TEACHER_MODELS:

@@ -3,7 +3,7 @@
 One run = one (env, teacher committee, method, seed) cell trained for a fixed
 number of episodes with batch-one updates at episode end. Losses from queried
 steps accumulate into the persona agent; methods with a learned ask policy
-additionally train it on hindsight labels of the finished trajectory.
+additionally train it from the finished trajectory alone.
 
 ``rollout`` is the one episode loop: ``run_episode`` adds end-of-episode
 updates and metrics, the probe states and d* are agent-free always-query
@@ -122,10 +122,11 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
     (dagger) and, when training, accumulate agent losses. Other steps act
     with the mean execution policy: a sample from it, or its argmax when
     ``greedy``. The agent is read only when that policy is needed, so an
-    always-query rollout that does not train may pass ``agent=None``.
+    always-query rollout that does not train may pass ``agent=None``. The
+    policy's decision context carries ``train``: a learned ask policy samples
+    while training and is greedy in a frozen rollout.
     """
     committee.select_member(rng)
-    policy.begin_episode()
     state = env.reset()
     steps: list[StepRecord] = []
     distances: dict[int, float] = {}
@@ -143,7 +144,7 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
             return mean_policy
 
         ctx = DecisionContext(features=features, remaining=remaining, rng=rng,
-                              agent=agent, mean_policy=get_mean)
+                              agent=agent, mean_policy=get_mean, train=train)
         ask = policy.decide(ctx)
         if ask == ASK_QUERY:
             response = committee.respond(env, state, rng)
@@ -151,8 +152,6 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
             if train:
                 pol_loss, _ = agent.exe_losses(features, response)
                 pol_losses.append(pol_loss)
-                if policy.uses_mean_policy:
-                    policy.observe_query(features, get_mean(), response)
         if ask == ASK_QUERY and policy.act_with_reference:
             action = response.exe_action
         elif greedy:
@@ -306,21 +305,15 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
 def evaluate(agent: PersonaAgent, policy, env, committee, n_episodes: int,
              rng: np.random.Generator, n1: int = 5,
              greedy_exe: bool = False) -> dict:
-    """Frozen-parameter rollouts: greedy ask decisions, sampled executions."""
-    was_greedy = getattr(policy, "greedy", None)
-    if was_greedy is not None:
-        policy.greedy = True
-    try:
-        rates, successes, finals = [], [], []
-        for _ in range(n_episodes):
-            _, metrics = run_episode(agent, committee, env, policy, rng, n1=n1,
-                                     train=False, greedy=greedy_exe)
-            rates.append(metrics.query_rate)
-            successes.append(metrics.success)
-            finals.append(metrics.final_dist)
-    finally:
-        if was_greedy is not None:
-            policy.greedy = was_greedy
+    """Frozen-parameter rollouts: greedy ask decisions, sampled executions
+    unless ``greedy_exe``."""
+    rates, successes, finals = [], [], []
+    for _ in range(n_episodes):
+        _, metrics = run_episode(agent, committee, env, policy, rng, n1=n1,
+                                 train=False, greedy=greedy_exe)
+        rates.append(metrics.query_rate)
+        successes.append(metrics.success)
+        finals.append(metrics.final_dist)
     return {"query_rate": float(np.mean(rates)),
             "success_rate": float(np.mean(successes)),
             "mean_final_dist": float(np.mean(finals))}
@@ -334,24 +327,3 @@ def final_query_rate(rows: list[dict], window: int = 100) -> float:
 def final_success_rate(rows: list[dict], window: int = 100) -> float:
     tail = rows[-window:]
     return float(np.mean([float(r["success"]) for r in tail]))
-
-
-TAU_GRID = tuple(round(0.05 * i, 2) for i in range(1, 21))
-
-
-def tune_tau(base_cfg: RunConfig, target_query_rate: float,
-             taus=TAU_GRID, tol: float = 0.05) -> float:
-    """Smallest tau whose final-100 query rate matches the target within tol.
-
-    Falls back to the closest candidate if none matches. Candidates run in
-    ascending order and the scan stops at the first match.
-    """
-    best_tau, best_gap = None, np.inf
-    for tau in taus:
-        result = run_training(replace(base_cfg, tau=float(tau)))
-        gap = abs(final_query_rate(result.rows) - target_query_rate)
-        if gap <= tol:
-            return float(tau)
-        if gap < best_gap:
-            best_tau, best_gap = float(tau), gap
-    return best_tau

@@ -8,10 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import tune_tau
 
 from apil_lab.harness import UNCERTAINTY_COLUMNS, uncertainty_report_rows
 from apil_lab.training import (RunConfig, final_query_rate, run_training,
-                               tune_tau, write_csv)
+                               write_csv)
 from apil_lab.uncertainty import UncertaintyConfig
 
 GRID_TEACHERS = ("detm", "rand", "tworand", "twodifdetm")

@@ -1,10 +1,16 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
-policy sampler and a per-draw oracle for the uncertainty estimate."""
+policy sampler, a per-draw oracle for the uncertainty estimate, the Lemma-2
+gradient check, exact teacher distributions, maze free cells and the tau scan."""
+from dataclasses import replace
+
 import numpy as np
 
-from apil_lab.nncore import categorical
-from apil_lab.query import (ASK_CONTINUE, ASK_QUERY, ApilConfig, StepRecord,
-                            Trajectory)
+from apil_lab import training
+from apil_lab.envs import GridPos
+from apil_lab.nncore import categorical, softmax
+from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
+                            StepRecord, Trajectory, query_imitation_loss)
+from apil_lab.teachers import TeacherKind
 from apil_lab.uncertainty import UncertaintyConfig, UncertaintyReport, entropy
 
 
@@ -85,3 +91,75 @@ def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
                              behavioral=behavioral, total=total,
                              model=total - behavioral, n1=cfg.n1, n2=cfg.n2,
                              state_id=state_id)
+
+
+def lemma2_gradient_check(net, step: StepRecord) -> float:
+    """Max elementwise gap between two gradient routes at a progressable state.
+
+    Route one is the imitation gradient under the ignore-action labeling of the
+    agent's ask action; route two is the REINFORCE gradient of the expected
+    query count, -grad[log pi(a) * 1{a != query}]. The lemma says they match.
+    """
+    def grab():
+        grads = {p.name: p.grad.copy() for p in net.mlp.params}
+        net.mlp.params.zero_grad()
+        net.mlp.pending = 0
+        return grads
+
+    label = ASK_IGNORE if step.ask_action == ASK_QUERY else ASK_CONTINUE
+    query_imitation_loss(net, [step], [label])
+    imitation = grab()
+
+    logits, cache = net.logits(step.features, step.mean_policy, step.remaining)
+    if step.ask_action != ASK_QUERY:
+        dlogits = softmax(logits)
+        dlogits[step.ask_action] -= 1.0
+        net.mlp.backward(cache, dlogits)
+    reinforce = grab()
+
+    return max(float(np.abs(imitation[name] - reinforce[name]).max())
+               for name in imitation)
+
+
+def action_distribution(committee, env, state, member=None) -> np.ndarray:
+    """Exact per-member action distribution; mixture over members if None."""
+    if member is None:
+        return np.mean([action_distribution(committee, env, state, m)
+                        for m in range(committee.size)], axis=0)
+    kind = committee.members[member]
+    refs = env.ref_action_set(state)
+    probs = np.zeros(env.n_actions)
+    if kind is TeacherKind.DETM_FIRST:
+        probs[refs[0]] = 1.0
+    elif kind is TeacherKind.DETM_LAST:
+        probs[refs[-1]] = 1.0
+    else:
+        probs[list(refs)] = 1.0 / len(refs)
+    return probs
+
+
+def free_cells(maze) -> list[GridPos]:
+    """Every cell of a maze that is not a wall."""
+    return [GridPos(r, c) for r in range(maze.n_rows) for c in range(maze.n_cols)
+            if not maze._walls[r, c]]
+
+
+TAU_GRID = tuple(round(0.05 * i, 2) for i in range(1, 21))
+
+
+def tune_tau(base_cfg, target_query_rate: float, taus=TAU_GRID,
+             tol: float = 0.05) -> float:
+    """Smallest tau whose final-100 query rate matches the target within tol.
+
+    Falls back to the closest candidate if none matches. Candidates run in
+    ascending order and the scan stops at the first match.
+    """
+    best_tau, best_gap = None, np.inf
+    for tau in taus:
+        result = training.run_training(replace(base_cfg, tau=float(tau)))
+        gap = abs(training.final_query_rate(result.rows) - target_query_rate)
+        if gap <= tol:
+            return float(tau)
+        if gap < best_gap:
+            best_tau, best_gap = float(tau), gap
+    return best_tau

@@ -8,13 +8,13 @@ import itertools
 from pathlib import Path
 
 import numpy as np
-from helpers import brute_force_labels, make_trajectory
+from helpers import (brute_force_labels, lemma2_gradient_check,
+                     make_trajectory)
 
 from apil_lab.envs import EnvState, GridPos
 from apil_lab.gradcheck import run_all as run_gradchecks
 from apil_lab.harness import make_table1
-from apil_lab.query import (ApilConfig, QueryNet, StepRecord, apil_labels,
-                            lemma2_gradient_check)
+from apil_lab.query import ApilConfig, QueryNet, StepRecord, apil_labels
 from apil_lab.training import (RunConfig, final_query_rate, final_success_rate,
                                read_csv, run_training)
 

@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from helpers import free_cells
 
 from apil_lab.envs import (DEFAULT_MAZE_MAP, ENCODE_AGENT, ENCODE_GOAL,
                            ENCODE_WALL, EnvState, GridPos, GridWorld, MazeGrid,
@@ -151,7 +152,7 @@ def test_maze_reset_and_distances_match_oracle():
     assert env.horizon == 12
     assert env.distance(state) == 10.0
     oracle = _maze_oracle_distances(DEFAULT_MAZE_MAP)
-    for pos in env.free_cells():
+    for pos in free_cells(env):
         probe = EnvState(pos, state.goal, 0, False)
         assert env.distance(probe) == float(oracle[(pos.row, pos.col)])
 
@@ -171,7 +172,7 @@ def test_maze_wall_and_border_bumps_are_noops():
 def test_maze_reference_actions_decrease_distance():
     env = MazeGrid()
     goal = env.reset().goal
-    for pos in env.free_cells():
+    for pos in free_cells(env):
         if pos == goal:
             continue
         state = EnvState(pos, goal, 0, False)

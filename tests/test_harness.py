@@ -11,7 +11,8 @@ from apil_lab.harness import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
                               TABLE1_REFERENCE, UNCERTAINTY_COLUMNS,
                               _teacher_of_file, main, make_table1,
                               uncertainty_report_rows, visited_state_weights)
-from apil_lab.nncore import load_checkpoint, save_checkpoint
+from apil_lab.nncore import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                             load_checkpoint, save_checkpoint)
 from apil_lab.teachers import make_committee
 from apil_lab.training import RunConfig, read_csv, run_training, write_csv
 from apil_lab.uncertainty import UncertaintyConfig
@@ -101,6 +102,7 @@ def test_config_file_failure_modes(tmp_path, capsys):
     assert main(["--config", str(malformed), "gradcheck"]) == EXIT_USAGE
     assert main(["--config", str(tmp_path / "missing.json"),
                  "gradcheck"]) == EXIT_USAGE
+    assert main(["--config", str(tmp_path), "gradcheck"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -145,8 +147,9 @@ def test_sweep_manifest_and_outputs(tmp_path, monkeypatch, capsys):
 
 def test_sweep_rejects_empty_lists(tmp_path, capsys):
     code = main(["sweep", "--methods", "", "--outdir", str(tmp_path / "s")])
-    assert code == EXIT_RUN_FAILURE
+    assert code == EXIT_USAGE
     assert "at least one" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()  # rejected before any work
 
 
 def test_sweep_records_failed_cells(tmp_path, monkeypatch, capsys):
@@ -309,6 +312,46 @@ def test_checkpoint_without_a_trained_array_is_rejected(tmp_path, capsys):
     assert main(["eval", "--load", str(ckpt),
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
     assert "exe.hidden.W" in capsys.readouterr().err
+
+
+def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path, capsys):
+    _, ckpt = _train(tmp_path)
+    with open(ckpt, "ab") as fh:
+        fh.write(bytes(8))
+    capsys.readouterr()
+    assert main(["eval", "--load", str(ckpt),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    assert "8 bytes after its last array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [
+    {"arrays": []},  # no params list
+    [],
+    {"params": [{"name": "a", "shape": [2.0]}]},  # non-integer dimension
+    {"params": [{"name": "a", "shape": ["2"]}]},
+    {"params": [{"name": "a", "shape": [-1]}]},  # negative dimension
+    {"params": [{"shape": [2]}]},  # no name
+])
+def test_checkpoint_with_a_malformed_header_is_rejected(header, tmp_path,
+                                                        capsys):
+    blob = json.dumps(header).encode("utf-8")
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
+                     + len(blob).to_bytes(4, "little") + blob + bytes(16))
+    assert main(["eval", "--load", str(ckpt),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    assert "checkpoint header" in capsys.readouterr().err
+
+
+def test_train_into_a_directory_exits_2(tmp_path, capsys):
+    assert main(["train", *FAST, "--out", str(tmp_path)]) == EXIT_RUN_FAILURE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_of_a_directory_exits_2(tmp_path, capsys):
+    assert main(["eval", "--load", str(tmp_path),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_eval_rejects_a_checkpoint_of_another_method(tmp_path, capsys):

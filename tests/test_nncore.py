@@ -198,7 +198,7 @@ def test_mlp_layout_embedding_gradient_and_update():
     net = MLP("m", 3, 4, 2, np.random.default_rng(0), lr=0.1,
               embed=("e", 5, 2))
     # checkpoints and the random stream depend on this order
-    assert net.params.names() == ["m.hidden.W", "m.hidden.b", "m.out.W",
+    assert [p.name for p in net.params] == ["m.hidden.W", "m.hidden.b", "m.out.W",
                                   "m.out.b", "m.e"]
     assert net.hidden.w.value.shape == (4, 3 + 2)
     net.update()  # nothing accumulated: no Adam step

@@ -4,24 +4,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import brute_force_labels, make_trajectory
+from helpers import (brute_force_labels, lemma2_gradient_check,
+                     make_trajectory)
 
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
-                            DecisionContext, ErrPredNet, HindsightQueryPolicy,
-                            NeverQueryPolicy, QueryNet, StepRecord,
-                            ThresholdQueryPolicy, apil_labels, ignore_labels,
-                            lemma2_gradient_check, progress_flags,
+                            DecisionContext, ErrPredNet, ErrPredQueryPolicy,
+                            HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
+                            StepRecord, ThresholdQueryPolicy, Trajectory,
+                            apil_labels, ignore_labels, progress_flags,
                             query_imitation_loss, threshold_decision)
 from apil_lab.uncertainty import UncertaintyConfig
 
 CFG = ApilConfig()  # sigma 2, epsilon 0, teacher final distance 0
 
 
-def _ctx(rng=None, mean=(0.5, 0.5)):
+def _ctx(rng=None, mean=(0.5, 0.5), train=True):
     return DecisionContext(features=np.zeros(2), remaining=1,
                            rng=rng or np.random.default_rng(0), agent=None,
-                           mean_policy=lambda: np.array(mean))
+                           mean_policy=lambda: np.array(mean), train=train)
 
 
 def test_labels_trivial_cases():
@@ -86,15 +87,6 @@ def test_trajectory_validation():
         make_trajectory(2, [], {}).validate()
     with pytest.raises(ValueError, match="no observed distance"):
         make_trajectory(3, [1], {3: 0.0}).validate()
-
-
-def test_leq_gap_test_flips_a_label():
-    # gap 1 at step 0 vs final gap 2: the standard test fails (1 < 4) but the
-    # flipped inequality passes (1 <= 4)
-    traj = make_trajectory(2, [0], {0: 1.0, 2: 2.0})
-    assert apil_labels(traj, CFG) == [ASK_QUERY, ASK_QUERY]
-    flipped = ApilConfig(leq_gap_test=True)
-    assert apil_labels(traj, flipped) == [ASK_CONTINUE, ASK_QUERY]
 
 
 def test_querynet_untrained_is_near_uniform():
@@ -163,6 +155,29 @@ def test_errprednet_cold_start_and_training():
     assert net.predict(features, mean) < 0.5
 
 
+def test_errpred_policy_trains_on_the_queried_steps():
+    rng = np.random.default_rng(0)
+    policy = ErrPredQueryPolicy(ErrPredNet(2, 2, rng))
+    opt = policy.net.mlp.opt
+    # an untrained head predicts 1.0; mean [0.5, 0.5] makes every margin 0.5
+    traj = make_trajectory(4, [1, 3], {1: 3.0, 3: 1.0, 4: 0.0})
+    assert policy.end_episode(traj) == pytest.approx(0.25, abs=1e-12)
+    assert opt.t == 1
+
+    before = {k: v.copy() for k, v in policy.param_arrays().items()}
+    assert policy.end_episode(make_trajectory(4, [], {4: 0.0})) is None
+    assert opt.t == 1  # no queried step: no Adam step
+    after = policy.param_arrays()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    # the margin is read at the step's own action, the teacher's answer
+    policy = ErrPredQueryPolicy(ErrPredNet(2, 2, rng))
+    step = StepRecord(features=np.zeros(2), exe_action=1,
+                      ask_action=ASK_QUERY, mean_policy=np.array([0.2, 0.8]))
+    loss = policy.end_episode(Trajectory([step], {0: 1.0, 1: 0.0}))
+    assert loss == pytest.approx(0.8 ** 2, abs=1e-12)
+
+
 def test_threshold_decision_rules():
     report = SimpleNamespace(intrinsic=0.8, extrinsic=0.0, behavioral=0.3)
     assert threshold_decision("intrun", 0.5, report) == ASK_QUERY
@@ -180,7 +195,6 @@ def test_policy_flags_and_fixed_decisions():
     assert DaggerPolicy.act_with_reference is False
     assert AlwaysQueryPolicy().decide(_ctx()) == ASK_QUERY
     assert NeverQueryPolicy().decide(_ctx()) == ASK_CONTINUE
-    assert HindsightQueryPolicy.uses_mean_policy is True
 
 
 def test_hindsight_policy_greedy_and_learning():
@@ -189,8 +203,8 @@ def test_hindsight_policy_greedy_and_learning():
     for p in net.mlp.params:
         p.value[...] = 0.0
     net.mlp.out.b.value[...] = [0.0, 5.0]  # bias the ask head toward query
-    policy = HindsightQueryPolicy(net, CFG, greedy=True)
-    assert policy.decide(_ctx()) == ASK_QUERY
+    policy = HindsightQueryPolicy(net, CFG)
+    assert policy.decide(_ctx(train=False)) == ASK_QUERY
 
     net = QueryNet(2, 2, horizon=4, rng=rng)
     policy = HindsightQueryPolicy(net, CFG)

@@ -5,17 +5,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import tune_tau
 
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import GridWorld, make_env
-from apil_lab.query import (AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
-                            ErrPredQueryPolicy, HindsightQueryPolicy,
-                            NeverQueryPolicy, QueryNet, ThresholdQueryPolicy)
+from apil_lab.query import (ASK_CONTINUE, AlwaysQueryPolicy, ApilConfig,
+                            DaggerPolicy, ErrPredQueryPolicy,
+                            HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
+                            ThresholdQueryPolicy)
 from apil_lab.teachers import make_committee
 from apil_lab.training import (METRICS_COLUMNS, RunConfig, evaluate,
                                final_query_rate, final_success_rate,
-                               make_query_policy, read_csv, run_episode,
-                               run_training, tune_tau, write_csv)
+                               make_query_policy, read_csv, rollout,
+                               run_episode, run_training, write_csv)
 
 
 def _fresh_setup(teacher="detm", seed=0):
@@ -81,13 +83,25 @@ def test_evaluate_fresh_bc_agent():
     assert summary["mean_final_dist"] == 0.0
 
 
-def test_evaluate_restores_sampling_mode_and_supports_greedy_exe():
+def test_evaluate_asks_greedily_and_training_samples():
+    env, committee, agent, rng = _fresh_setup()
+    net = QueryNet(env.state_dim, env.n_actions, env.horizon, rng)
+    for p in net.mlp.params:
+        p.value[...] = 0.0
+    net.mlp.out.b.value[...] = [0.0, np.log(1.5)]  # asks with probability 0.6
+    policy = HindsightQueryPolicy(net, ApilConfig())
+    summary = evaluate(agent, policy, env, committee, 5, rng)
+    assert summary["query_rate"] == 1.0
+    asks = [step.ask_action for _ in range(5)
+            for step in rollout(agent, committee, env, policy, rng,
+                                train=True)[0].steps]
+    assert ASK_CONTINUE in asks
+
+
+def test_evaluate_supports_greedy_exe():
     env, committee, agent, rng = _fresh_setup()
     net = QueryNet(env.state_dim, env.n_actions, env.horizon, rng)
     policy = HindsightQueryPolicy(net, ApilConfig())
-    assert policy.greedy is False
-    evaluate(agent, policy, env, committee, 3, rng)
-    assert policy.greedy is False
     summary = evaluate(agent, policy, env, committee, 3, rng, greedy_exe=True)
     assert set(summary) == {"query_rate", "success_rate", "mean_final_dist"}
     assert summary["success_rate"] == 1.0
