@@ -12,8 +12,16 @@ weights and whose precision is a prior constant plus the Gauss-Newton
 diagonal p_a (1 - p_a) h_j^2 of every queried training step. The precision
 only grows, so posterior samples concentrate where the agent has been taught.
 Acting and training always use the mean weights.
+
+Rows are batched: ``policy_probs`` evaluates a vector of identities under a
+stack of posterior draws with one hidden forward and one stacked head
+matmul, ``mean_exe_policy`` evaluates its drawn identities in one forward,
+and ``exe_losses`` trains on an episode's queried steps as one ``(T, in)``
+pass, so the head precision and the weights change together at episode end.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -53,16 +61,20 @@ class PersonaAgent:
         logits, _ = self.id_net.forward(features)
         return softmax(logits)
 
-    def posterior_draw(self, rng: np.random.Generator) -> np.ndarray:
-        """A standard-normal array shaped like ``exe.out.W``: one posterior sample."""
-        return rng.standard_normal(self.head_precision.shape)
+    def posterior_draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """A stack of ``n`` standard-normal arrays shaped like ``exe.out.W``,
+        taken in one call: ``n`` posterior samples."""
+        return rng.standard_normal((n, *self.head_precision.shape))
 
-    def policy_probs(self, features: np.ndarray, identity: int,
+    def policy_probs(self, features: np.ndarray, identity,
                      draw: np.ndarray | None = None) -> np.ndarray:
-        """Policy at the mean weights, or with the head at W + draw/sqrt(precision).
+        """Policy at one state, at the mean weights or with the head at
+        W + draw/sqrt(precision).
 
-        ``draw`` may be one posterior draw or a stack ``(N, *W.shape)`` of them;
-        a stack shares one hidden forward and returns ``(N, n_actions)``.
+        ``identity`` is an int or a vector of K identities, giving ``(A,)`` or
+        ``(K, A)``. ``draw`` may be one posterior draw or a stack ``(N, A,
+        hidden)``; a stack shares one hidden forward and puts N first, so K
+        identities under N draws give ``(N, K, A)``.
         """
         if draw is None:
             logits, _ = self.exe_net.forward(features, identity)
@@ -70,44 +82,49 @@ class PersonaAgent:
             h, _ = self.exe_net.hidden_forward(features, identity)
             out = self.exe_net.out
             w = out.w.value + draw / np.sqrt(self.head_precision)
-            logits = w @ h + out.b.value
+            logits = h @ np.swapaxes(w, -1, -2) + out.b.value
         return softmax(logits)
 
     def mean_exe_policy(self, features: np.ndarray, n: int,
                         rng: np.random.Generator) -> np.ndarray:
-        """Arithmetic mean of ``n`` sampled policies (no posterior sampling)."""
+        """Arithmetic mean of ``n`` sampled policies (no posterior sampling).
+
+        The identities drawn are evaluated in one forward and mixed by their
+        draw counts.
+        """
         if n < 1:
             raise ValueError("n must be positive")
         rho = self.identity_probs(features)
-        ks = categorical(rho, rng, n)
-        counts = np.bincount(ks, minlength=self.n_teachers)
-        mean = np.zeros(self.n_actions)
-        for k in np.flatnonzero(counts):
-            mean += (counts[k] / n) * self.policy_probs(features, int(k))
-        return mean
+        counts = np.bincount(categorical(rho, rng, n),
+                             minlength=self.n_teachers)
+        drawn = np.flatnonzero(counts)
+        return (counts[drawn] / n) @ self.policy_probs(features, drawn)
 
     # --------------------------------------------------------------- training
 
-    def exe_losses(self, features: np.ndarray, response: TeacherResponse):
-        """Accumulate gradients for one query; returns (policy loss, identity loss).
+    def exe_losses(self, features: np.ndarray,
+                   responses: Sequence[TeacherResponse]):
+        """Accumulate the gradients of T queried steps in one pass per net.
 
-        The policy loss conditions on the observed persona, not the mean one.
-        The step's Gauss-Newton diagonal is added to the head precision.
+        ``features`` is the ``(T, state_dim)`` stack of the steps' states and
+        ``responses`` their T teacher responses. Returns the ``(T,)`` policy
+        and identity losses. The policy loss conditions on the observed
+        persona, not the mean one, and the steps' Gauss-Newton diagonal is
+        added to the head precision.
         """
-        k_star = response.identity
-        if not 0 <= k_star < self.n_teachers:
-            raise IndexError(f"identity {k_star} out of range")
+        identities = np.array([r.identity for r in responses])
+        actions = np.array([r.exe_action for r in responses])
 
-        logits, cache = self.exe_net.forward(features, k_star)
-        probs, pol_loss, dlogits = softmax_nll(logits, response.exe_action)
-        _, _, (h, _) = cache  # a Dense cache is (input, output)
-        self.head_precision += np.outer(probs * (1.0 - probs), h * h)
+        logits, cache = self.exe_net.forward(features, identities)
+        probs, pol_losses, dlogits = softmax_nll(logits, actions)
+        _, (_, h), _ = cache  # a Dense cache is (input blocks, output)
+        self.head_precision += (probs * (1.0 - probs)).T @ (h * h)
         self.exe_net.backward(cache, dlogits)
 
         logits, cache = self.id_net.forward(features)
-        _, id_loss, dlogits = softmax_nll(logits, k_star)
+        _, id_losses, dlogits = softmax_nll(logits, identities)
         self.id_net.backward(cache, dlogits)
-        return pol_loss, id_loss
+        return pol_losses, id_losses
 
     def end_episode_update(self) -> None:
         """One Adam step per model, only if the episode contributed losses."""

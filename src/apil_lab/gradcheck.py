@@ -48,15 +48,28 @@ def check_params(params: ParamSet, loss_and_backward, loss_fn) -> float:
     return max(relative_error(analytic[name], numeric[name]) for name in analytic)
 
 
-def check_dense(rng: np.random.Generator) -> float:
+MULTI_ROWS = 4  # the multi-row case: 4 rows over 2 identities, so indices repeat
+
+
+def _rows(rng: np.random.Generator, rows: int | None, size: int) -> np.ndarray:
+    """One input row, or a stack of ``rows`` of them."""
+    return rng.normal(size=size if rows is None else (rows, size))
+
+
+def _identities(rng: np.random.Generator, rows: int | None, n: int):
+    """One index below ``n``, or ``rows`` indices below 2, which must repeat."""
+    return int(rng.integers(n)) if rows is None else rng.integers(2, size=rows)
+
+
+def check_dense(rng: np.random.Generator, rows: int | None = None) -> float:
     """An MLP's two stacked Dense layers (tanh then identity) under an NLL head."""
     net = MLP("mlp", 6, 5, 3, rng)
-    x = rng.normal(size=6)
-    target = int(rng.integers(3))
+    x = _rows(rng, rows, 6)
+    target = _identities(rng, rows, 3)
 
     def loss_fn():
         logits, _ = net.forward(x)
-        return softmax_nll(logits, target)[1]
+        return softmax_nll(logits, target)[1].sum()
 
     def backward():
         logits, cache = net.forward(x)
@@ -66,66 +79,73 @@ def check_dense(rng: np.random.Generator) -> float:
     return check_params(net.params, backward, loss_fn)
 
 
-def check_embedding(rng: np.random.Generator) -> float:
-    """Embedding row feeding a Dense layer; only that row should move."""
+def check_embedding(rng: np.random.Generator, rows: int | None = None) -> float:
+    """Embedding rows feeding a Dense layer; only the looked-up rows move,
+    and a repeated index collects the gradient of every row that used it."""
     params = ParamSet()
     table = Embedding(params, "emb", 4, 5, rng)
     out = Dense(params, "out", 5, 3, "identity", rng)
-    index = int(rng.integers(4))
-    target = int(rng.integers(3))
+    index = _identities(rng, rows, 4)
+    target = _identities(rng, rows, 3)
 
     def loss_fn():
         logits, _ = out.forward(table.forward(index))
-        return softmax_nll(logits, target)[1]
+        return softmax_nll(logits, target)[1].sum()
 
     def backward():
         logits, cache = out.forward(table.forward(index))
         _, _, dlogits = softmax_nll(logits, target)
-        table.backward(index, out.backward(cache, dlogits))
+        table.backward(index, out.backward(cache, dlogits)[0])
 
     err = check_params(params, backward, loss_fn)
     params.zero_grad()
     backward()
     grad = params["emb"].grad
-    other_rows = [r for r in range(4) if r != index]
+    other_rows = np.setdiff1d(np.arange(4), index)
     if np.abs(grad[other_rows]).max() != 0.0:
         return np.inf
     return err
 
 
-def check_softmax_nll(rng: np.random.Generator) -> float:
+def check_softmax_nll(rng: np.random.Generator, rows: int | None = None) -> float:
     """NLL gradient w.r.t. the logits themselves."""
-    logits = rng.normal(scale=3.0, size=5)
-    target = int(rng.integers(5))
+    logits = _rows(rng, rows, 5) * 3.0
+    target = _identities(rng, rows, 5)
     _, _, analytic = softmax_nll(logits, target)
     numeric = np.zeros_like(logits)
-    for i in range(logits.size):
-        orig = logits[i]
-        logits[i] = orig + FD_STEP
-        hi = softmax_nll(logits, target)[1]
-        logits[i] = orig - FD_STEP
-        lo = softmax_nll(logits, target)[1]
-        logits[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * FD_STEP)
+    flat_logits, flat_numeric = logits.reshape(-1), numeric.reshape(-1)
+    for i in range(flat_logits.size):
+        orig = flat_logits[i]
+        flat_logits[i] = orig + FD_STEP
+        hi = softmax_nll(logits, target)[1].sum()
+        flat_logits[i] = orig - FD_STEP
+        lo = softmax_nll(logits, target)[1].sum()
+        flat_logits[i] = orig
+        flat_numeric[i] = (hi - lo) / (2.0 * FD_STEP)
     return relative_error(analytic, numeric)
 
 
-def _small_query_net(rng: np.random.Generator) -> tuple[QueryNet, list[StepRecord]]:
+def _small_query_net(rng: np.random.Generator,
+                     rows: int | None) -> tuple[QueryNet, list[StepRecord]]:
+    """Three steps with distinct remaining counts, or ``rows`` steps whose
+    remaining counts repeat."""
     net = QueryNet(state_dim=4, n_actions=2, horizon=3, rng=rng, hidden=6)
+    remaining = [3, 2, 1] if rows is None else 1 + _identities(rng, rows, 2)
     steps = []
-    for t in range(3):
+    for left in remaining:
         probs = rng.random(2)
         probs /= probs.sum()
         steps.append(StepRecord(features=rng.normal(size=4),
                                 exe_action=int(rng.integers(2)),
                                 ask_action=int(rng.integers(2)),
-                                mean_policy=probs, remaining=3 - t))
+                                mean_policy=probs, remaining=int(left)))
     return net, steps
 
 
-def check_query_loss(rng: np.random.Generator) -> float:
-    """Masked ask-imitation loss over a short trajectory."""
-    net, steps = _small_query_net(rng)
+def check_query_loss(rng: np.random.Generator, rows: int | None = None) -> float:
+    """Masked ask-imitation loss over a short trajectory, against a loop of
+    one-row forwards."""
+    net, steps = _small_query_net(rng, rows)
     labels = [int(rng.choice([ASK_CONTINUE, ASK_QUERY, ASK_IGNORE]))
               for _ in steps]
     if all(lab == ASK_IGNORE for lab in labels):
@@ -146,42 +166,48 @@ def check_query_loss(rng: np.random.Generator) -> float:
     return check_params(net.mlp.params, backward, loss_fn)
 
 
-def check_errpred(rng: np.random.Generator) -> float:
-    """Squared-error margin regression."""
+def check_errpred(rng: np.random.Generator, rows: int | None = None) -> float:
+    """Squared-error margin regression, against a loop of one-row predictions."""
     net = ErrPredNet(state_dim=4, n_actions=2, rng=rng, hidden=6)
     # shift the head off its constant-1.0 start so the check is non-trivial
     head = net.mlp.out.w.value
     head[...] = rng.normal(scale=0.1, size=head.shape)
-    features = rng.normal(size=4)
-    probs = rng.random(2)
-    probs /= probs.sum()
-    target = float(rng.random())
+    features = _rows(rng, rows, 4)
+    probs = rng.random(features.shape[:-1] + (2,))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    target = rng.random(features.shape[:-1])
 
     def backward():
         net.accumulate_sq_loss(features, probs, target)
 
     def loss_fn():
-        return (net.predict(features, probs) - target) ** 2
+        return sum((net.predict(f, p) - t) ** 2 for f, p, t in
+                   zip(np.atleast_2d(features), np.atleast_2d(probs),
+                       np.atleast_1d(target)))
 
     return check_params(net.mlp.params, backward, loss_fn)
 
 
-def check_agent_losses(rng: np.random.Generator) -> float:
-    """Persona-policy and identity NLLs through the full agent."""
+def check_agent_losses(rng: np.random.Generator, rows: int | None = None) -> float:
+    """Persona-policy and identity NLLs through the full agent, against a
+    loop of one-row forwards."""
     agent = PersonaAgent(state_dim=4, n_actions=2, n_teachers=2, rng=rng,
                          hidden=6, persona_dim=3)
-    features = rng.normal(size=4)
-    response = TeacherResponse(exe_action=int(rng.integers(2)),
-                               identity=int(rng.integers(2)), dist=1.0)
+    features = rng.normal(size=(rows or 1, 4))
+    responses = [TeacherResponse(exe_action=int(rng.integers(2)),
+                                 identity=int(k), dist=1.0)
+                 for k in np.atleast_1d(_identities(rng, rows, 2))]
 
     def backward():
-        agent.exe_losses(features, response)
+        agent.exe_losses(features, responses)
 
     def loss_fn():
-        pol = -np.log(agent.policy_probs(features, response.identity)
-                      [response.exe_action])
-        rho = agent.identity_probs(features)
-        return float(pol - np.log(rho[response.identity]))
+        total = 0.0
+        for x, response in zip(features, responses):
+            pol = agent.policy_probs(x, response.identity)[response.exe_action]
+            rho = agent.identity_probs(x)[response.identity]
+            total += float(-np.log(pol) - np.log(rho))
+        return total
 
     return max(check_params(net.params, backward, loss_fn)
                for net in (agent.exe_net, agent.id_net))
@@ -198,10 +224,14 @@ SUITES = (
 
 
 def run_all(seed: int = 0, cases: int = 100):
-    """Return [(suite, worst relative error, passed)] over randomized cases."""
+    """Return [(suite, worst relative error, passed)] over randomized cases.
+
+    Each case checks a suite's one-row case, then its multi-row case.
+    """
     results = []
     for name, fn in SUITES:
         rng = np.random.default_rng(seed)
-        worst = max(fn(rng) for _ in range(cases))
+        worst = max(fn(rng, rows) for _ in range(cases)
+                    for rows in (None, MULTI_ROWS))
         results.append((name, worst, worst < REL_TOL))
     return results

@@ -266,19 +266,27 @@ def _sweep_cell(cfg_dict: dict, out_path: str):
 def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     teachers = [t.strip() for t in args.teachers.split(",") if t.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise _UsageError(f"--seeds must be a comma list of integers, "
+                          f"got {args.seeds!r}") from None
     if not (methods and teachers and seeds):
         raise _UsageError("sweep needs at least one method, teacher, and seed")
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # every cell's config is built, and so checked, before any work
     cells = []
-    for method in methods:
-        for teacher in teachers:
-            for seed in seeds:
-                cfg = _run_config(args, method=method)
-                cfg = replace(cfg, teacher=teacher, seed=seed)
-                name = f"{method}_{teacher}_s{seed}.csv"
-                cells.append((cfg, str(outdir / name)))
+    try:
+        for method in methods:
+            for teacher in teachers:
+                for seed in seeds:
+                    cfg = replace(_run_config(args, method=method),
+                                  teacher=teacher, seed=seed)
+                    name = f"{method}_{teacher}_s{seed}.csv"
+                    cells.append((cfg, str(outdir / name)))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    outdir.mkdir(parents=True, exist_ok=True)
 
     jobs = args.jobs or os.cpu_count() or 1
     cap = os.environ.get(THREADS_ENV_VAR)
@@ -344,8 +352,8 @@ def visited_state_weights(agent, env, committee, n_episodes: int,
     """Unique states visited by the agent's own policy, with visit counts."""
     seen: dict[bytes, tuple[np.ndarray, str, int]] = {}
     for _ in range(n_episodes):
-        traj, _ = training.rollout(agent, committee, env, NeverQueryPolicy(),
-                                   rng, n1)
+        traj = training.rollout(agent, committee, env, NeverQueryPolicy(),
+                                rng, n1)
         for step in traj.steps:
             key = step.features.tobytes()
             state_id = f"r{step.state.agent.row}c{step.state.agent.col}"

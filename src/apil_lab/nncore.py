@@ -5,6 +5,11 @@ of two Dense layers, optionally fed an Embedding row, that owns its ParamSet
 (named value + gradient accumulator pairs) and its Adam state: ``backward``
 accumulates gradients, ``update`` applies them. Checkpoints use a small
 versioned binary container; see ``save_checkpoint``.
+
+Rows are batched: a layer, the MLP and ``softmax_nll`` take one row or a
+stack ``(B, ...)`` of rows through the same code, and a backward pass sums
+its rows' gradients. A stack's float sums may differ from a loop over its
+rows in the last bits (a GEMM in place of B GEMVs).
 """
 from __future__ import annotations
 
@@ -112,7 +117,13 @@ def init_weight(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarr
 
 
 class Dense:
-    """Fully connected layer y = act(W x + b), W shape (out, in)."""
+    """Fully connected layer y = act(x W^T + b), W shape (out, in).
+
+    ``x`` is one row ``(in,)`` or a stack of rows ``(B, in)``, and ``y`` has
+    the same leading shape. The input may come as column blocks whose widths
+    sum to ``in``; each block multiplies its own columns of W, so a block of
+    one row is shared by every row of the others without a concatenated copy.
+    """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, out_dim: int,
                  activation: str, rng: np.random.Generator):
@@ -122,21 +133,37 @@ class Dense:
         self.w = params.add(f"{prefix}.W", init_weight(rng, in_dim, out_dim))
         self.b = params.add(f"{prefix}.b", np.zeros(out_dim))
 
-    def forward(self, x: np.ndarray):
-        z = self.w.value @ x + self.b.value
+    def forward(self, *blocks: np.ndarray):
+        w = self.w.value
+        z = self.b.value
+        start = 0
+        for x in blocks:
+            stop = start + x.shape[-1]
+            z = z + x @ w[:, start:stop].T
+            start = stop
         y = np.tanh(z) if self.activation == "tanh" else z
-        return y, (x, y)
+        return y, (blocks, y)
 
-    def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        x, y = cache
+    def backward(self, cache, dy: np.ndarray) -> list[np.ndarray]:
+        """Accumulate the gradients summed over rows; return d(input), one
+        array per input block. Every block must have the rows of ``dy``."""
+        blocks, y = cache
         dz = dy * (1.0 - y * y) if self.activation == "tanh" else dy
-        self.w.grad += np.outer(dz, x)
-        self.b.grad += dz
-        return self.w.value.T @ dz
+        rows = dz.reshape(-1, dz.shape[-1])
+        w = self.w.value
+        self.b.grad += rows.sum(axis=0)
+        dxs = []
+        start = 0
+        for x in blocks:
+            stop = start + x.shape[-1]
+            self.w.grad[:, start:stop] += rows.T @ x.reshape(-1, x.shape[-1])
+            dxs.append(dz @ w[:, start:stop])
+            start = stop
+        return dxs
 
 
 class Embedding:
-    """Lookup table; backward touches only the looked-up row."""
+    """Lookup table indexed by one row index or a vector of them."""
 
     def __init__(self, params: ParamSet, name: str, rows: int, dim: int,
                  rng: np.random.Generator):
@@ -146,13 +173,15 @@ class Embedding:
     def rows(self) -> int:
         return self.table.value.shape[0]
 
-    def forward(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.rows:
+    def forward(self, index) -> np.ndarray:
+        index = np.asarray(index)
+        if index.min() < 0 or index.max() >= self.rows:
             raise IndexError(f"embedding index {index} out of range")
         return self.table.value[index]
 
-    def backward(self, index: int, dout: np.ndarray) -> None:
-        self.table.grad[index] += dout
+    def backward(self, index, dout: np.ndarray) -> None:
+        """Add ``dout`` to the looked-up rows; a repeated index gets every one."""
+        np.add.at(self.table.grad, index, dout)
 
 
 class MLP:
@@ -161,13 +190,16 @@ class MLP:
     ``embed=(name, rows, dim)`` adds a table ``<prefix>.<name>`` whose row
     ``index`` is appended to every input. Parameters are created, and draw
     from ``rng``, in the order hidden W, out W, table.
+
+    Every call takes one row ``x`` of shape ``(in,)`` or a stack ``(B, in)``
+    with an index vector ``(B,)``. One row ``x`` with an index vector ``(K,)``
+    evaluates that row under each of the K embedding rows (forward only).
     """
 
     def __init__(self, prefix: str, in_dim: int, hidden: int, out_dim: int,
                  rng: np.random.Generator, lr: float = 1e-3,
                  embed: tuple[str, int, int] | None = None):
         self.params = ParamSet()
-        self.in_dim = in_dim
         name, rows, dim = embed or ("", 0, 0)
         self.hidden = Dense(self.params, f"{prefix}.hidden", in_dim + dim,
                             hidden, "tanh", rng)
@@ -178,24 +210,26 @@ class MLP:
         self.opt = AdamState(self.params, lr=lr)
         self.pending = 0
 
-    def hidden_forward(self, x: np.ndarray, index: int | None = None):
-        """Hidden activation and its cache; the embedding row joins ``x``."""
-        if self.embed is not None:
-            x = np.concatenate([x, self.embed.forward(index)])
-        return self.hidden.forward(x)
+    def hidden_forward(self, x: np.ndarray, index=None):
+        """Hidden activation and its cache; the embedding rows join ``x`` as
+        a second input block."""
+        if self.embed is None:
+            return self.hidden.forward(x)
+        return self.hidden.forward(x, self.embed.forward(index))
 
-    def forward(self, x: np.ndarray, index: int | None = None):
+    def forward(self, x: np.ndarray, index=None):
         """Return (output, (index, hidden-layer cache, out-layer cache))."""
         h, h_cache = self.hidden_forward(x, index)
         y, out_cache = self.out.forward(h)
         return y, (index, h_cache, out_cache)
 
     def backward(self, cache, dy: np.ndarray) -> None:
-        """Accumulate the gradients of one forward pass."""
+        """Accumulate the gradients of one forward pass, summed over its rows."""
         index, h_cache, out_cache = cache
-        dx = self.hidden.backward(h_cache, self.out.backward(out_cache, dy))
+        (dh,) = self.out.backward(out_cache, dy)
+        dx = self.hidden.backward(h_cache, dh)
         if self.embed is not None:
-            self.embed.backward(index, dx[self.in_dim:])
+            self.embed.backward(index, dx[1])
         self.pending += 1
 
     def update(self) -> None:
@@ -234,16 +268,17 @@ def categorical_cdf(p: np.ndarray) -> np.ndarray:
     """Normalized cdf of a probability vector, checked as ``Generator.choice`` does.
 
     Raises ``ValueError`` unless ``p`` is finite and non-negative with a sum
-    within sqrt(eps) of 1.
+    within sqrt(eps) of 1. Two reductions decide; NaN fails both.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probabilities must be a non-empty 1-d vector")
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite")
-    if (p < 0.0).any():
-        raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+    if not (p.min() >= 0.0
+            and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(np.float64).eps)):
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
+        if (p < 0.0).any():
+            raise ValueError("probabilities must be non-negative")
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -256,19 +291,22 @@ def categorical(p: np.ndarray, rng: np.random.Generator, size=None):
     return categorical_cdf(p).searchsorted(rng.random(size), side="right")
 
 
-def softmax_nll(logits: np.ndarray, target: int):
-    """Return (probs, loss, dlogits) for the NLL of ``target`` under softmax(logits)."""
-    if not 0 <= target < logits.shape[0]:
-        raise IndexError(f"target {target} out of range for {logits.shape[0]} classes")
-    m = logits.max()
-    shifted = logits - m
+def softmax_nll(logits: np.ndarray, target):
+    """Return (probs, loss, dlogits) for the NLL of ``target`` under softmax(logits).
+
+    Row-wise over a stack: ``logits`` ``(B, C)`` with targets ``(B,)`` give
+    ``(B,)`` losses; one row with an int target gives a scalar loss.
+    """
+    n_classes = logits.shape[-1]
+    onehot = np.asarray(target)[..., None] == np.arange(n_classes)
+    if not onehot.any(axis=-1).all():
+        raise IndexError(f"target {target} out of range for {n_classes} classes")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum()
-    probs = e / total
-    loss = float(np.log(total) - shifted[target])
-    dlogits = probs.copy()
-    dlogits[target] -= 1.0
-    return probs, loss, dlogits
+    total = e.sum(axis=-1)
+    probs = e / total[..., None]
+    loss = np.log(total) - (shifted * onehot).sum(axis=-1)
+    return probs, loss, probs - onehot
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .nncore import MLP, categorical, softmax, softmax_nll
+from .teachers import TeacherResponse
 
 ASK_CONTINUE = 0
 ASK_QUERY = 1
@@ -29,6 +30,7 @@ class StepRecord:
     mean_policy: np.ndarray | None = None
     remaining: int = 0
     state: object = None  # the environment state the step acted in
+    response: TeacherResponse | None = None  # the teacher's, at a queried step
 
 
 @dataclass
@@ -122,37 +124,45 @@ class QueryNet:
         self.mlp = MLP("ask", state_dim + n_actions, hidden, 2, rng, lr,
                        embed=("steps", horizon + 1, self.STEPS_EMBED_DIM))
 
-    def logits(self, features, mean_policy, remaining: int):
-        """Return (logits, MLP cache) of one ask decision."""
+    def logits(self, features, mean_policy, remaining):
+        """Return (logits, MLP cache) of one ask decision, or of a stack of
+        them: ``(T, state_dim)`` and ``(T, n_actions)`` rows with ``(T,)``
+        remaining-step counts."""
         if mean_policy is None:
             raise ValueError("ask decision needs the mean execution policy")
-        return self.mlp.forward(np.concatenate([features, mean_policy]),
-                                remaining)
+        return self.mlp.forward(np.concatenate([features, mean_policy],
+                                               axis=-1), remaining)
 
-    def forward(self, features, mean_policy, remaining: int) -> np.ndarray:
+    def forward(self, features, mean_policy, remaining) -> np.ndarray:
         logits, _ = self.logits(features, mean_policy, remaining)
         return softmax(logits)
 
-    def accumulate_nll(self, features, mean_policy, remaining: int,
-                       label: int) -> float:
+    def accumulate_nll(self, features, mean_policy, remaining,
+                       labels) -> np.ndarray:
+        """Accumulate the NLL gradients of a stack of decisions in one pass;
+        returns the per-row losses."""
         logits, cache = self.logits(features, mean_policy, remaining)
-        _, loss, dlogits = softmax_nll(logits, label)
+        _, losses, dlogits = softmax_nll(logits, labels)
         self.mlp.backward(cache, dlogits)
-        return loss
+        return losses
 
 
 def query_imitation_loss(net: QueryNet, steps: list[StepRecord],
                          labels: list[int]) -> float:
-    """Summed NLL over non-ignore labels; gradients accumulate into the net."""
+    """Summed NLL over non-ignore labels; gradients accumulate into the net
+    from one stacked pass over those steps."""
     if len(steps) != len(labels):
         raise ValueError("one label per step is required")
-    total = 0.0
-    for step, label in zip(steps, labels):
-        if label == ASK_IGNORE:
-            continue
-        total += net.accumulate_nll(step.features, step.mean_policy,
-                                    step.remaining, label)
-    return total
+    kept = [(step, label) for step, label in zip(steps, labels)
+            if label != ASK_IGNORE]
+    if not kept:
+        return 0.0
+    losses = net.accumulate_nll(
+        np.stack([step.features for step, _ in kept]),
+        np.stack([step.mean_policy for step, _ in kept]),
+        np.array([step.remaining for step, _ in kept]),
+        np.array([label for _, label in kept]))
+    return float(losses.sum())
 
 
 # --------------------------------------------------------------- err-pred net
@@ -175,10 +185,14 @@ class ErrPredNet:
         y, _ = self.mlp.forward(np.concatenate([features, mean_policy]))
         return float(y[0])
 
-    def accumulate_sq_loss(self, features, mean_policy, target: float) -> float:
-        y, cache = self.mlp.forward(np.concatenate([features, mean_policy]))
-        err = float(y[0]) - target
-        self.mlp.backward(cache, np.array([2.0 * err]))
+    def accumulate_sq_loss(self, features, mean_policy, targets) -> np.ndarray:
+        """Accumulate the squared-error gradients of a stack of ``(T,
+        state_dim)`` and ``(T, n_actions)`` rows against ``(T,)`` targets in
+        one pass; returns the per-row squared errors."""
+        y, cache = self.mlp.forward(np.concatenate([features, mean_policy],
+                                                   axis=-1))
+        err = y[..., 0] - targets
+        self.mlp.backward(cache, 2.0 * err[..., None])
         return err * err
 
 
@@ -312,11 +326,12 @@ class ErrPredQueryPolicy(QueryPolicyBase):
         queried = [traj.steps[t] for t in traj.queried_steps()]
         if not queried:
             return None
-        total = 0.0
-        for step in queried:
-            margin = 1.0 - float(step.mean_policy[step.exe_action])
-            total += self.net.accumulate_sq_loss(step.features,
-                                                 step.mean_policy, margin)
+        features = np.stack([step.features for step in queried])
+        means = np.stack([step.mean_policy for step in queried])
+        margins = 1.0 - means[np.arange(len(queried)),
+                              [step.exe_action for step in queried]]
+        total = float(self.net.accumulate_sq_loss(features, means,
+                                                  margins).sum())
         self.net.mlp.update()
         return total / len(queried)
 

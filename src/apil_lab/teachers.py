@@ -80,6 +80,6 @@ def estimate_teacher_final_distance(committee: Committee, env, n_rollouts: int,
         raise ValueError("n_rollouts must be positive")
     total = 0.0
     for _ in range(n_rollouts):
-        traj, _ = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
+        traj = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
         total += traj.distances[traj.horizon]
     return total / n_rollouts

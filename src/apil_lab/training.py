@@ -1,9 +1,10 @@
 """Episode loop, training runs, evaluation, and metrics logging.
 
 One run = one (env, teacher committee, method, seed) cell trained for a fixed
-number of episodes with batch-one updates at episode end. Losses from queried
-steps accumulate into the persona agent; methods with a learned ask policy
-additionally train it from the finished trajectory alone.
+number of episodes with batch-one updates at episode end. The persona agent
+trains on the queried steps of the finished trajectory, as one stacked pass;
+methods with a learned ask policy additionally train it from the same
+trajectory.
 
 ``rollout`` is the one episode loop: ``run_episode`` adds end-of-episode
 updates and metrics, the probe states and d* are agent-free always-query
@@ -24,7 +25,8 @@ from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                     HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
                     StepRecord, ThresholdQueryPolicy, Trajectory)
-from .teachers import estimate_teacher_final_distance, make_committee
+from .teachers import (TEACHER_MODELS, estimate_teacher_final_distance,
+                       make_committee)
 from .uncertainty import UncertaintyConfig, mean_report
 
 METHODS = ("apil", "phil-ignore", "bc", "dagger", "intrun", "extrun",
@@ -65,6 +67,9 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.teacher not in TEACHER_MODELS:
+            raise ValueError(f"unknown teacher {self.teacher!r}; expected one "
+                             f"of {tuple(TEACHER_MODELS)}")
         if self.episodes < 1:
             raise ValueError("episodes must be positive")
 
@@ -115,22 +120,21 @@ def make_query_policy(cfg: RunConfig, env, rng: np.random.Generator):
 
 def rollout(agent: PersonaAgent | None, committee, env, policy,
             rng: np.random.Generator, n1: int = 5, train: bool = False,
-            greedy: bool = False):
-    """Walk one episode; returns (Trajectory, policy losses of queried steps).
+            greedy: bool = False) -> Trajectory:
+    """Walk one episode and return its Trajectory.
 
-    Queried steps execute the reference action unless the policy opts out
-    (dagger) and, when training, accumulate agent losses. Other steps act
-    with the mean execution policy: a sample from it, or its argmax when
-    ``greedy``. The agent is read only when that policy is needed, so an
-    always-query rollout that does not train may pass ``agent=None``. The
-    policy's decision context carries ``train``: a learned ask policy samples
-    while training and is greedy in a frozen rollout.
+    Queried steps record the teacher's response and execute the reference
+    action unless the policy opts out (dagger). Other steps act with the
+    mean execution policy: a sample from it, or its argmax when ``greedy``.
+    The agent is read only when that policy is needed, so an always-query
+    rollout may pass ``agent=None``. The policy's decision context carries
+    ``train``: a learned ask policy samples while training and is greedy in
+    a frozen rollout.
     """
     committee.select_member(rng)
     state = env.reset()
     steps: list[StepRecord] = []
     distances: dict[int, float] = {}
-    pol_losses: list[float] = []
     while not state.terminal:  # every env ends an episode at its horizon
         t = len(steps)
         features = env.encode(state)
@@ -146,13 +150,11 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
         ctx = DecisionContext(features=features, remaining=remaining, rng=rng,
                               agent=agent, mean_policy=get_mean, train=train)
         ask = policy.decide(ctx)
+        response = None
         if ask == ASK_QUERY:
             response = committee.respond(env, state, rng)
             distances[t] = response.dist
-            if train:
-                pol_loss, _ = agent.exe_losses(features, response)
-                pol_losses.append(pol_loss)
-        if ask == ASK_QUERY and policy.act_with_reference:
+        if response is not None and policy.act_with_reference:
             action = response.exe_action
         elif greedy:
             action = int(np.argmax(get_mean()))
@@ -160,11 +162,12 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
             action = int(categorical(get_mean(), rng))
         steps.append(StepRecord(features=features, exe_action=action,
                                 ask_action=ask, mean_policy=mean_policy,
-                                remaining=remaining, state=state))
+                                remaining=remaining, state=state,
+                                response=response))
         state = env.step(state, action)
 
     distances[len(steps)] = env.distance(state)
-    return Trajectory(steps, distances), pol_losses
+    return Trajectory(steps, distances)
 
 
 def run_episode(agent: PersonaAgent, committee, env, policy,
@@ -172,21 +175,29 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
                 train: bool = True, greedy: bool = False):
     """Run one episode; returns (Trajectory, EpisodeMetrics).
 
-    A ``rollout`` whose updates fire at episode end, only when training.
+    A ``rollout`` whose updates fire at episode end, only when training: the
+    agent's losses over the queried steps in one stacked pass, one Adam step
+    per net, then the ask policy's own update. The policy loss is read at
+    the episode's weights, the weights every step acted with.
     """
-    traj, pol_losses = rollout(agent, committee, env, policy, rng, n1,
-                               train, greedy)
-    ask_loss = None
+    traj = rollout(agent, committee, env, policy, rng, n1, train, greedy)
+    queried = [traj.steps[t] for t in traj.queried_steps()]
+    exe_loss = ask_loss = None
     if train:
+        if queried:
+            pol_losses, _ = agent.exe_losses(
+                np.stack([step.features for step in queried]),
+                [step.response for step in queried])
+            exe_loss = float(pol_losses.mean())
         agent.end_episode_update()
         ask_loss = policy.end_episode(traj)
 
     final_dist = traj.distances[traj.horizon]
     metrics = EpisodeMetrics(
-        query_rate=len(traj.queried_steps()) / env.horizon,
+        query_rate=len(queried) / env.horizon,
         success=final_dist == 0.0,
         final_dist=final_dist,
-        exe_loss=float(np.mean(pol_losses)) if pol_losses else None,
+        exe_loss=exe_loss,
         ask_loss=ask_loss,
     )
     return traj, metrics
@@ -197,7 +208,7 @@ def probe_trajectory_features(env, committee, rng: np.random.Generator,
     """States of a few frozen always-query rollouts, encoded for the agent."""
     features = []
     for _ in range(n_rollouts):
-        traj, _ = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
+        traj = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
         features.extend(step.features for step in traj.steps)
     return features
 

@@ -11,11 +11,13 @@ behavioral term. The posterior concentrates as queried data accumulates, so
 at a generous N1 the model term shrinks with training data; a small N1
 inflates it wherever the extrinsic term is high.
 
-The estimate is batched over its posterior draws: the posterior perturbs only
-the policy head, so an identity's hidden activation does not depend on the
-draw, and one stacked ``policy_probs`` call per identity evaluates it under
-all N2 heads. ``entropy`` works over the last axis for the same reason. The
-random stream and every output bit match a per-draw loop.
+The estimate is loop-free. The posterior perturbs only the policy head, so
+an identity's hidden activation does not depend on the draw: one hidden
+forward of all K identities and one stacked head matmul evaluate every
+identity under all N2 draws, and one ``entropy`` call on the stacked rows
+gives every entropy the estimate needs. The stream order is fixed: all N2
+head draws in one ``standard_normal`` call, then all N2 x N1 identity
+uniforms in one ``random`` call.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import categorical_cdf
+from .nncore import categorical
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,12 @@ def entropy(probs: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in nats over the last axis, with 0 log 0 = 0.
 
     A float for one probability vector, an array of row entropies for a stack.
+    Two reductions decide that the rows are normalized; NaN fails both.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ValueError("entropy expects non-empty probability vectors")
-    if (p < -1e-12).any() or (abs(p.sum(axis=-1) - 1.0) > 1e-9).any():
+    if not (p.min() >= -1e-12 and abs(p.sum(axis=-1) - 1.0).max() <= 1e-9):
         raise ValueError("entropy expects normalized probability vectors")
     # log(1) = 0 stands in for log(0), so zero entries add an exact +0.0
     h = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
@@ -67,40 +70,33 @@ def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
              rng: np.random.Generator, state_id: str = "") -> UncertaintyReport:
     """Nested Monte-Carlo uncertainty estimate at one state.
 
-    The N2 (posterior draw, N1 identities) pairs are taken first, in that
-    interleaved order from ``rng``. Each identity drawn anywhere is then
-    evaluated once under all N2 perturbed heads (one stacked
-    ``policy_probs``), and the per-draw mixtures and intrinsic terms
-    accumulate in ascending identity order, weighted by draw counts; an
-    identity a draw did not pick adds an exact zero to that draw.
+    Takes the N2 posterior draws, then the N2 x N1 identity uniforms. All K
+    identities are evaluated under all draws (``(N2, K, A)``); a draw's
+    mixture and intrinsic term weight them by how often that draw picked
+    each, so an identity it did not pick adds an exact zero.
     """
+    n1, n2, k = cfg.n1, cfg.n2, agent.n_teachers
     rho = agent.identity_probs(features)
-    cdf = categorical_cdf(rho)  # checked and built once, sampled N2 times
-    draws, counts = [], []
-    for _ in range(cfg.n2):
-        draws.append(agent.posterior_draw(rng))
-        ks = cdf.searchsorted(rng.random(cfg.n1), side="right")
-        counts.append(np.bincount(ks, minlength=agent.n_teachers))
-    draws = np.stack(draws)
-    weights = np.array(counts) / cfg.n1
-    mixtures = np.zeros((cfg.n2, agent.n_actions))
-    intrinsic_terms = np.zeros(cfg.n2)
-    for k in np.flatnonzero(weights.any(axis=0)):
-        probs = agent.policy_probs(features, int(k), draws)
-        mixtures += weights[:, k, None] * probs
-        intrinsic_terms += weights[:, k] * entropy(probs)
-    behavioral = float(entropy(mixtures).mean())
-    intrinsic = float(intrinsic_terms.mean())
-    # cumsum adds the draws' mixtures one after another, in draw order
-    total = entropy(mixtures.cumsum(axis=0)[-1] / cfg.n2)
+    draws = agent.posterior_draw(rng, n2)
+    picks = categorical(rho, rng, (n2, n1))
+    weights = (picks[:, :, None] == np.arange(k)).sum(axis=1) / n1
+    probs = agent.policy_probs(features, np.arange(k), draws)
+    mixtures = (weights[:, :, None] * probs).sum(axis=1)
+    # sums over the draws divided by N2: the means, without np.mean's overhead
+    rows = np.concatenate([probs.reshape(n2 * k, -1), mixtures,
+                           mixtures.sum(axis=0, keepdims=True) / n2])
+    h = entropy(rows)
+    intrinsic = float((weights * h[:n2 * k].reshape(n2, k)).sum() / n2)
+    behavioral = float(h[n2 * k:-1].sum() / n2)
+    total = float(h[-1])
     return UncertaintyReport(
         intrinsic=intrinsic,
         extrinsic=behavioral - intrinsic,
         behavioral=behavioral,
         total=total,
         model=total - behavioral,
-        n1=cfg.n1,
-        n2=cfg.n2,
+        n1=n1,
+        n2=n2,
         state_id=state_id,
     )
 

@@ -1,13 +1,14 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
-policy sampler, a per-draw oracle for the uncertainty estimate, the Lemma-2
-gradient check, exact teacher distributions, maze free cells and the tau scan."""
+policy sampler, loop oracles for the batched estimate, mean policy and
+episode backward, the Lemma-2 gradient check, exact teacher distributions,
+maze free cells and the tau scan."""
 from dataclasses import replace
 
 import numpy as np
 
 from apil_lab import training
 from apil_lab.envs import GridPos
-from apil_lab.nncore import categorical, softmax
+from apil_lab.nncore import categorical, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
                             StepRecord, Trajectory, query_imitation_loss)
 from apil_lab.teachers import TeacherKind
@@ -54,24 +55,27 @@ def sample_policy(agent, features, rng, posterior_sampling=False):
     """
     rho = agent.identity_probs(features)
     k = int(categorical(rho, rng))
-    draw = agent.posterior_draw(rng) if posterior_sampling else None
+    draw = agent.posterior_draw(rng, 1)[0] if posterior_sampling else None
     return k, agent.policy_probs(features, k, draw)
 
 
 def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
                       state_id=""):
-    """Oracle for ``uncertainty.estimate``: one posterior draw at a time.
+    """Loop oracle for ``uncertainty.estimate``: one posterior draw and one
+    identity at a time.
 
-    Each draw takes its N1 identities with ``rng.choice`` and evaluates one
-    ``policy_probs`` per distinct identity, mixed by draw counts.
+    It takes its numbers in the estimate's order, one call per draw: the N2
+    head draws, then N2 times N1 identities with ``rng.choice``. Each draw
+    evaluates one ``policy_probs`` per distinct identity, mixed by counts.
     """
     rho = agent.identity_probs(features)
+    draws = [agent.posterior_draw(rng, 1)[0] for _ in range(cfg.n2)]
+    picks = [rng.choice(agent.n_teachers, size=cfg.n1, p=rho)
+             for _ in range(cfg.n2)]
     behavioral_terms = np.empty(cfg.n2)
     intrinsic_terms = np.empty(cfg.n2)
     mixture_sum = np.zeros(agent.n_actions)
-    for i in range(cfg.n2):
-        draw = agent.posterior_draw(rng)
-        ks = rng.choice(agent.n_teachers, size=cfg.n1, p=rho)
+    for i, (draw, ks) in enumerate(zip(draws, picks)):
         counts = np.bincount(ks, minlength=agent.n_teachers)
         mixture = np.zeros(agent.n_actions)
         intrinsic = 0.0
@@ -91,6 +95,36 @@ def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
                              behavioral=behavioral, total=total,
                              model=total - behavioral, n1=cfg.n1, n2=cfg.n2,
                              state_id=state_id)
+
+
+def per_identity_mean_exe_policy(agent, features, n, rng):
+    """Loop oracle for ``agent.mean_exe_policy``: one forward per identity
+    drawn, accumulated in ascending identity order."""
+    rho = agent.identity_probs(features)
+    counts = np.bincount(categorical(rho, rng, n), minlength=agent.n_teachers)
+    mean = np.zeros(agent.n_actions)
+    for k in np.flatnonzero(counts):
+        mean += (counts[k] / n) * agent.policy_probs(features, int(k))
+    return mean
+
+
+def per_row_exe_losses(agent, features, responses):
+    """Loop oracle for ``agent.exe_losses``: one-row forwards and backwards,
+    one step at a time, each adding its Gauss-Newton diagonal to the head
+    precision. Returns the (policy, identity) losses as arrays."""
+    pol_losses, id_losses = [], []
+    for x, response in zip(features, responses):
+        logits, cache = agent.exe_net.forward(x, response.identity)
+        probs, loss, dlogits = softmax_nll(logits, response.exe_action)
+        _, (_, h), _ = cache
+        agent.head_precision += np.outer(probs * (1.0 - probs), h * h)
+        agent.exe_net.backward(cache, dlogits)
+        pol_losses.append(float(loss))
+        logits, cache = agent.id_net.forward(x)
+        _, loss, dlogits = softmax_nll(logits, response.identity)
+        agent.id_net.backward(cache, dlogits)
+        id_losses.append(float(loss))
+    return np.array(pol_losses), np.array(id_losses)
 
 
 def lemma2_gradient_check(net, step: StepRecord) -> float:

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import sample_policy
+from helpers import (per_identity_mean_exe_policy, per_row_exe_losses,
+                     sample_policy)
 
 from apil_lab.agent import HIDDEN_WIDTH, PERSONA_DIM, PRIOR_PRECISION, PersonaAgent
 from apil_lab.envs import EnvState, GridPos
@@ -91,21 +92,56 @@ def test_mean_policy_single_teacher_is_exact():
         agent.mean_exe_policy(features, 0, np.random.default_rng(0))
 
 
+def test_mean_policy_equals_the_per_identity_loop():
+    agent = _fresh(n_teachers=3)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        features = rng.normal(size=25)
+        seed = int(rng.integers(1000))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = agent.mean_exe_policy(features, 5, ours)
+        want = per_identity_mean_exe_policy(agent, features, 5, theirs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert ours.random() == theirs.random()
+
+
+def test_episode_backward_equals_the_per_row_loop():
+    """One stacked pass gives the gradients, precision and losses of a loop
+    of one-row passes, repeated identities included."""
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(7, 25))
+    responses = [TeacherResponse(int(rng.integers(2)), int(k), 1.0)
+                 for k in (0, 1, 1, 0, 1, 1, 0)]
+    batched, looped = _fresh(seed=3), _fresh(seed=3)
+    got = batched.exe_losses(features, responses)
+    want = per_row_exe_losses(looped, features, responses)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    for net_b, net_l in ((batched.exe_net, looped.exe_net),
+                         (batched.id_net, looped.id_net)):
+        for p_b, p_l in zip(net_b.params, net_l.params):
+            scale = np.abs(p_l.grad).max()
+            assert np.abs(p_b.grad - p_l.grad).max() <= 1e-12 * scale, p_b.name
+    assert (np.abs(batched.head_precision - looped.head_precision).max()
+            <= 1e-12 * np.abs(looped.head_precision).max())
+
+
 def test_exe_losses_uniform_start_is_log2():
     agent = _fresh()
     for net in (agent.exe_net, agent.id_net):
         for p in net.params:
             p.value[...] = 0.0
     features = np.zeros(25)
-    pol_loss, id_loss = agent.exe_losses(features, TeacherResponse(0, 1, 3.0))
-    assert pol_loss == pytest.approx(math.log(2), abs=1e-15)
-    assert id_loss == pytest.approx(math.log(2), abs=1e-15)
+    pol_loss, id_loss = agent.exe_losses(features[None],
+                                         [TeacherResponse(0, 1, 3.0)])
+    assert pol_loss == pytest.approx([math.log(2)], abs=1e-15)
+    assert id_loss == pytest.approx([math.log(2)], abs=1e-15)
     assert agent.exe_net.pending == agent.id_net.pending == 1
 
 
 def test_exe_losses_touch_only_observed_persona_row():
     agent = _fresh()
-    agent.exe_losses(np.zeros(25), TeacherResponse(1, 0, 3.0))
+    agent.exe_losses(np.zeros((1, 25)), [TeacherResponse(1, 0, 3.0)])
     grad = agent.exe_net.params["exe.persona"].grad
     assert np.any(grad[0] != 0.0)
     assert np.array_equal(grad[1], np.zeros(PERSONA_DIM))
@@ -114,7 +150,7 @@ def test_exe_losses_touch_only_observed_persona_row():
 def test_exe_losses_rejects_out_of_range_identity():
     agent = _fresh()
     with pytest.raises(IndexError):
-        agent.exe_losses(np.zeros(25), TeacherResponse(0, 5, 3.0))
+        agent.exe_losses(np.zeros((1, 25)), [TeacherResponse(0, 5, 3.0)])
 
 
 def test_end_episode_update_without_losses_is_a_noop():
@@ -130,7 +166,7 @@ def test_end_episode_update_applies_accumulated_losses():
     before = {k: v.copy() for k, v in agent.param_arrays().items()}
     features = np.zeros(25)
     features[7] = 0.5  # nonzero input so weight matrices receive gradient
-    agent.exe_losses(features, TeacherResponse(0, 0, 3.0))
+    agent.exe_losses(features[None], [TeacherResponse(0, 0, 3.0)])
     agent.end_episode_update()
     assert agent.exe_net.pending == agent.id_net.pending == 0
     changed = [name for name, value in agent.param_arrays().items()

@@ -152,6 +152,19 @@ def test_sweep_rejects_empty_lists(tmp_path, capsys):
     assert not (tmp_path / "s").exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--seeds", "0,x"], "--seeds"),
+    (["--methods", "bogus"], "unknown method"),
+    (["--teachers", "detm,bogus"], "unknown teacher"),
+])
+def test_sweep_rejects_bad_values_before_any_work(flags, message, tmp_path,
+                                                 capsys):
+    outdir = tmp_path / "s"
+    assert main(["sweep", *FAST, *flags, "--outdir", str(outdir)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_sweep_records_failed_cells(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("APIL_LAB_THREADS", "1")
     outdir = tmp_path / "sweep"

@@ -107,6 +107,17 @@ def test_categorical_rejects_what_choice_rejects():
     categorical(np.array([0.5, 0.5 + 1e-9]), rng)  # within sqrt(eps) of 1
 
 
+@pytest.mark.parametrize("bad,message", [
+    ([np.nan, 1.0], "finite"), ([np.nan, np.nan], "finite"),
+    ([np.inf, 0.0], "finite"), ([1.5, -0.5], "non-negative"),
+    ([0.5, 0.4], "sum to 1"), ([0.6, 0.6], "sum to 1"),
+    ([], "non-empty"), ([[0.5, 0.5]], "1-d"),
+])
+def test_categorical_rejection_messages(bad, message):
+    with pytest.raises(ValueError, match=message):
+        categorical(np.array(bad), np.random.default_rng(0))
+
+
 def test_softmax_nll_uniform_case():
     probs, loss, dlogits = softmax_nll(np.zeros(2), 0)
     assert np.allclose(probs, [0.5, 0.5])
@@ -192,6 +203,51 @@ def test_embedding_lookup_and_row_sparse_gradient():
     assert np.array_equal(table.table.grad[1], [1.0, 1.0])
     with pytest.raises(IndexError):
         table.forward(3)
+
+
+def test_repeated_index_rows_accumulate_every_gradient():
+    """Two rows of one identity give twice the one-row gradient: a repeated
+    index must not drop a row's contribution."""
+    net = MLP("m", 3, 4, 2, np.random.default_rng(0), embed=("e", 3, 2))
+    x = np.array([0.3, -0.2, 0.5])
+    dy = np.array([0.7, -0.4])
+    _, cache = net.forward(x, 1)
+    net.backward(cache, dy)
+    once = {p.name: p.grad.copy() for p in net.params}
+    net.params.zero_grad()
+    _, cache = net.forward(np.stack([x, x]), np.array([1, 1]))
+    net.backward(cache, np.stack([dy, dy]))
+    for p in net.params:
+        assert np.allclose(p.grad, 2.0 * once[p.name], rtol=1e-14, atol=0.0)
+    assert np.any(net.params["m.e"].grad[1] != 0.0)
+
+
+def test_one_row_and_a_stack_of_rows_share_one_path():
+    rng = np.random.default_rng(1)
+    net = MLP("m", 3, 4, 2, rng, embed=("e", 3, 2))
+    xs = rng.normal(size=(5, 3))
+    index = np.array([0, 2, 2, 1, 0])
+    stacked, _ = net.forward(xs, index)
+    assert stacked.shape == (5, 2)
+    for x, k, y in zip(xs, index, stacked):
+        assert np.allclose(net.forward(x, k)[0], y, rtol=0.0, atol=1e-14)
+    # one row under several embedding rows: the row is shared, not copied
+    shared, _ = net.forward(xs[0], index)
+    for k, y in zip(index, shared):
+        assert np.allclose(net.forward(xs[0], k)[0], y, rtol=0.0, atol=1e-14)
+    probs, loss, dlogits = softmax_nll(stacked, index % 2)
+    assert loss.shape == (5,)
+    for row, target, p, l, d in zip(stacked, index % 2, probs, loss, dlogits):
+        want = softmax_nll(row, int(target))
+        assert np.allclose(want[0], p, rtol=0.0, atol=1e-15)
+        assert abs(want[1] - l) <= 1e-15
+        assert np.allclose(want[2], d, rtol=0.0, atol=1e-15)
+    with pytest.raises(IndexError):
+        softmax_nll(stacked, np.array([0, 1, 2, 0, 1]))
+    with pytest.raises(IndexError):
+        softmax_nll(stacked, np.array([0, 1, -1, 0, 1]))
+    with pytest.raises(IndexError):
+        net.forward(xs, np.array([0, 1, -1, 0, 1]))
 
 
 def test_mlp_layout_embedding_gradient_and_update():

@@ -94,7 +94,7 @@ def test_evaluate_asks_greedily_and_training_samples():
     assert summary["query_rate"] == 1.0
     asks = [step.ask_action for _ in range(5)
             for step in rollout(agent, committee, env, policy, rng,
-                                train=True)[0].steps]
+                                train=True).steps]
     assert ASK_CONTINUE in asks
 
 
@@ -139,6 +139,8 @@ def test_probe_cadence():
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown method"):
         RunConfig(method="bogus")
+    with pytest.raises(ValueError, match="unknown teacher"):
+        RunConfig(teacher="bogus")
     with pytest.raises(ValueError, match="episodes"):
         RunConfig(episodes=0)
 
