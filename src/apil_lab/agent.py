@@ -21,8 +21,6 @@ pass, so the head precision and the weights change together at episode end.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .nncore import MLP, categorical, softmax, softmax_nll
@@ -103,7 +101,7 @@ class PersonaAgent:
     # --------------------------------------------------------------- training
 
     def exe_losses(self, features: np.ndarray,
-                   responses: Sequence[TeacherResponse]):
+                   responses: list[TeacherResponse]):
         """Accumulate the gradients of T queried steps in one pass per net.
 
         ``features`` is the ``(T, state_dim)`` stack of the steps' states and

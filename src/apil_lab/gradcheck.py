@@ -56,8 +56,9 @@ def _rows(rng: np.random.Generator, rows: int | None, size: int) -> np.ndarray:
     return rng.normal(size=size if rows is None else (rows, size))
 
 
-def _identities(rng: np.random.Generator, rows: int | None, n: int):
-    """One index below ``n``, or ``rows`` indices below 2, which must repeat."""
+def _indices(rng: np.random.Generator, rows: int | None, n: int):
+    """One index below ``n``, or ``rows`` indices below 2, which must repeat
+    (identities, targets or remaining-step counts)."""
     return int(rng.integers(n)) if rows is None else rng.integers(2, size=rows)
 
 
@@ -65,7 +66,7 @@ def check_dense(rng: np.random.Generator, rows: int | None = None) -> float:
     """An MLP's two stacked Dense layers (tanh then identity) under an NLL head."""
     net = MLP("mlp", 6, 5, 3, rng)
     x = _rows(rng, rows, 6)
-    target = _identities(rng, rows, 3)
+    target = _indices(rng, rows, 3)
 
     def loss_fn():
         logits, _ = net.forward(x)
@@ -85,8 +86,8 @@ def check_embedding(rng: np.random.Generator, rows: int | None = None) -> float:
     params = ParamSet()
     table = Embedding(params, "emb", 4, 5, rng)
     out = Dense(params, "out", 5, 3, "identity", rng)
-    index = _identities(rng, rows, 4)
-    target = _identities(rng, rows, 3)
+    index = _indices(rng, rows, 4)
+    target = _indices(rng, rows, 3)
 
     def loss_fn():
         logits, _ = out.forward(table.forward(index))
@@ -110,7 +111,7 @@ def check_embedding(rng: np.random.Generator, rows: int | None = None) -> float:
 def check_softmax_nll(rng: np.random.Generator, rows: int | None = None) -> float:
     """NLL gradient w.r.t. the logits themselves."""
     logits = _rows(rng, rows, 5) * 3.0
-    target = _identities(rng, rows, 5)
+    target = _indices(rng, rows, 5)
     _, _, analytic = softmax_nll(logits, target)
     numeric = np.zeros_like(logits)
     flat_logits, flat_numeric = logits.reshape(-1), numeric.reshape(-1)
@@ -130,7 +131,7 @@ def _small_query_net(rng: np.random.Generator,
     """Three steps with distinct remaining counts, or ``rows`` steps whose
     remaining counts repeat."""
     net = QueryNet(state_dim=4, n_actions=2, horizon=3, rng=rng, hidden=6)
-    remaining = [3, 2, 1] if rows is None else 1 + _identities(rng, rows, 2)
+    remaining = [3, 2, 1] if rows is None else 1 + _indices(rng, rows, 2)
     steps = []
     for left in remaining:
         probs = rng.random(2)
@@ -143,8 +144,7 @@ def _small_query_net(rng: np.random.Generator,
 
 
 def check_query_loss(rng: np.random.Generator, rows: int | None = None) -> float:
-    """Masked ask-imitation loss over a short trajectory, against a loop of
-    one-row forwards."""
+    """Masked ask-imitation loss over a short trajectory."""
     net, steps = _small_query_net(rng, rows)
     labels = [int(rng.choice([ASK_CONTINUE, ASK_QUERY, ASK_IGNORE]))
               for _ in steps]
@@ -167,7 +167,7 @@ def check_query_loss(rng: np.random.Generator, rows: int | None = None) -> float
 
 
 def check_errpred(rng: np.random.Generator, rows: int | None = None) -> float:
-    """Squared-error margin regression, against a loop of one-row predictions."""
+    """Squared-error margin regression."""
     net = ErrPredNet(state_dim=4, n_actions=2, rng=rng, hidden=6)
     # shift the head off its constant-1.0 start so the check is non-trivial
     head = net.mlp.out.w.value
@@ -181,36 +181,36 @@ def check_errpred(rng: np.random.Generator, rows: int | None = None) -> float:
         net.accumulate_sq_loss(features, probs, target)
 
     def loss_fn():
-        return sum((net.predict(f, p) - t) ** 2 for f, p, t in
-                   zip(np.atleast_2d(features), np.atleast_2d(probs),
-                       np.atleast_1d(target)))
+        y, _ = net.mlp.forward(np.concatenate([features, probs], axis=-1))
+        return float(((y[..., 0] - target) ** 2).sum())
 
     return check_params(net.mlp.params, backward, loss_fn)
 
 
 def check_agent_losses(rng: np.random.Generator, rows: int | None = None) -> float:
-    """Persona-policy and identity NLLs through the full agent, against a
-    loop of one-row forwards."""
+    """Persona-policy and identity NLLs through the full agent."""
     agent = PersonaAgent(state_dim=4, n_actions=2, n_teachers=2, rng=rng,
                          hidden=6, persona_dim=3)
     features = rng.normal(size=(rows or 1, 4))
-    responses = [TeacherResponse(exe_action=int(rng.integers(2)),
-                                 identity=int(k), dist=1.0)
-                 for k in np.atleast_1d(_identities(rng, rows, 2))]
+    identities = np.atleast_1d(_indices(rng, rows, 2))
+    actions = rng.integers(2, size=len(identities))
+    responses = [TeacherResponse(exe_action=int(a), identity=int(k), dist=1.0)
+                 for a, k in zip(actions, identities)]
 
     def backward():
         agent.exe_losses(features, responses)
 
-    def loss_fn():
-        total = 0.0
-        for x, response in zip(features, responses):
-            pol = agent.policy_probs(x, response.identity)[response.exe_action]
-            rho = agent.identity_probs(x)[response.identity]
-            total += float(-np.log(pol) - np.log(rho))
-        return total
+    # each net's parameters reach only its own loss
+    def policy_loss():
+        logits, _ = agent.exe_net.forward(features, identities)
+        return float(softmax_nll(logits, actions)[1].sum())
 
-    return max(check_params(net.params, backward, loss_fn)
-               for net in (agent.exe_net, agent.id_net))
+    def identity_loss():
+        logits, _ = agent.id_net.forward(features)
+        return float(softmax_nll(logits, identities)[1].sum())
+
+    return max(check_params(agent.exe_net.params, backward, policy_loss),
+               check_params(agent.id_net.params, backward, identity_loss))
 
 
 SUITES = (
