@@ -14,10 +14,11 @@ only grows, so posterior samples concentrate where the agent has been taught.
 Acting and training always use the mean weights.
 
 Rows are batched: ``policy_probs`` evaluates a vector of identities under a
-stack of posterior draws with one hidden forward and one stacked head
-matmul, ``mean_exe_policy`` evaluates its drawn identities in one forward,
-and ``exe_losses`` trains on an episode's queried steps as one ``(T, in)``
-pass, so the head precision and the weights change together at episode end.
+stack of posterior draws, at one state or at a stack of states, with one
+hidden forward and one stacked head matmul, ``mean_exe_policy`` evaluates
+its drawn identities in one forward, and ``exe_losses`` trains on an
+episode's queried steps as one ``(T, in)`` pass, so the head precision and
+the weights change together at episode end.
 """
 from __future__ import annotations
 
@@ -56,31 +57,45 @@ class PersonaAgent:
     # ---------------------------------------------------------------- forward
 
     def identity_probs(self, features: np.ndarray) -> np.ndarray:
-        logits, _ = self.id_net.forward(features)
-        return softmax(logits)
+        """rho(k|s) at one state ``(K,)``, or at each state of a stack ``(S,
+        K)``. Each state is a ``(1, in)`` row of its own, so it gets the bits
+        of its one-state call (one matmul over the stack may round apart)."""
+        if features.ndim == 1:
+            logits, _ = self.id_net.forward(features)
+            return softmax(logits)
+        logits, _ = self.id_net.forward(features[:, None, :])
+        return softmax(logits[:, 0])
 
     def posterior_draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """A stack of ``n`` standard-normal arrays shaped like ``exe.out.W``,
-        taken in one call: ``n`` posterior samples."""
-        return rng.standard_normal((n, *self.head_precision.shape))
+        """``n`` posterior samples of the head ``exe.out.W``, ``(n, A,
+        hidden)``: W + z/sqrt(precision), with every normal z taken in one
+        call."""
+        draws = rng.standard_normal((n, *self.head_precision.shape))
+        draws /= np.sqrt(self.head_precision)
+        draws += self.exe_net.out.w.value
+        return draws
 
     def policy_probs(self, features: np.ndarray, identity,
                      draw: np.ndarray | None = None) -> np.ndarray:
-        """Policy at one state, at the mean weights or with the head at
-        W + draw/sqrt(precision).
+        """Policy at one state, at the mean weights or with the head at a
+        posterior sample ``draw`` (see ``posterior_draw``).
 
         ``identity`` is an int or a vector of K identities, giving ``(A,)`` or
         ``(K, A)``. ``draw`` may be one posterior draw or a stack ``(N, A,
         hidden)``; a stack shares one hidden forward and puts N first, so K
-        identities under N draws give ``(N, K, A)``.
+        identities under N draws give ``(N, K, A)``. A stack of S states
+        ``(S, in)`` takes one stack of draws per state, ``(S, N, A, hidden)``,
+        and gives ``(S, N, K, A)``: the states and the personas enter the
+        hidden layer as separate input blocks, and each state's block equals
+        its one-state call bitwise.
         """
         if draw is None:
             logits, _ = self.exe_net.forward(features, identity)
         else:
+            if features.ndim > 1:  # (S, 1, 1, in): a row per state, a draw axis
+                features = features[:, None, None, :]
             h, _ = self.exe_net.hidden_forward(features, identity)
-            out = self.exe_net.out
-            w = out.w.value + draw / np.sqrt(self.head_precision)
-            logits = h @ np.swapaxes(w, -1, -2) + out.b.value
+            logits = h @ np.swapaxes(draw, -1, -2) + self.exe_net.out.b.value
         return softmax(logits)
 
     def mean_exe_policy(self, features: np.ndarray, n: int,

@@ -129,7 +129,8 @@ class MazeGrid:
                     goal = GridPos(r, c)
                 elif ch != ".":
                     raise ValueError(f"unknown map character {ch!r}")
-        if start is None or goal is None:
+        cells = "".join(rows)
+        if cells.count("S") != 1 or cells.count("G") != 1:
             raise ValueError("maze map needs exactly one S and one G")
         self._start = start
         self._goal = goal
@@ -141,6 +142,16 @@ class MazeGrid:
                 f"horizon {horizon} is shorter than the {int(self._dist[start])}-step "
                 "optimal path"
             )
+        # per-cell tables, so a step neither re-encodes the walls nor
+        # re-derives its reference actions
+        self._base = np.full(self.state_dim, ENCODE_EMPTY)
+        self._base[self._walls.reshape(-1)] = ENCODE_WALL
+        self._refs = {}
+        for r, c in zip(*np.nonzero(np.isfinite(self._dist))):
+            pos = GridPos(int(r), int(c))
+            self._refs[pos] = tuple(
+                a for a in range(self.n_actions)
+                if self._dist[self._move(pos, a)] == self._dist[pos] - 1.0)
 
     def _bfs_from_goal(self) -> np.ndarray:
         dist = np.full((self.n_rows, self.n_cols), np.inf)
@@ -187,13 +198,13 @@ class MazeGrid:
     def ref_action_set(self, state: EnvState) -> tuple[int, ...]:
         if state.terminal:
             raise ValueError("reference actions undefined at a terminal state")
-        here = self._dist[state.agent]
-        return tuple(a for a in range(self.n_actions)
-                     if self._dist[self._move(state.agent, a)] == here - 1.0)
+        refs = self._refs.get(state.agent)
+        if refs is None:
+            raise ValueError(f"cell {state.agent} cannot reach the goal")
+        return refs
 
     def encode(self, state: EnvState) -> np.ndarray:
-        vec = np.full(self.state_dim, ENCODE_EMPTY)
-        vec[self._walls.reshape(-1)] = ENCODE_WALL
+        vec = self._base.copy()
         vec[state.goal.row * self.n_cols + state.goal.col] = ENCODE_GOAL
         vec[state.agent.row * self.n_cols + state.agent.col] = ENCODE_AGENT
         return vec

@@ -189,6 +189,8 @@ def _check_values(args) -> None:
         if dest in given and not test(given[dest]):
             raise _UsageError(f"--{dest.replace('_', '-')} must {rule}, "
                               f"got {given[dest]}")
+    if given.get("map_path") is not None and given["env"] != "maze":
+        raise _UsageError(f"--map needs --env maze, got --env {given['env']}")
 
 
 def _inflation_n1s(text: str) -> tuple[int, ...]:

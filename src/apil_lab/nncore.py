@@ -3,8 +3,11 @@
 All arithmetic is float64 numpy. Every network in the package is an ``MLP``
 of two Dense layers, optionally fed an Embedding row, that owns its ParamSet
 (named value + gradient accumulator pairs) and its Adam state: ``backward``
-accumulates gradients, ``update`` applies them. Checkpoints use a small
-versioned binary container; see ``save_checkpoint``.
+accumulates gradients, ``update`` applies them. A ParamSet keeps all its
+values in one flat buffer and all its gradients in another, each parameter
+being a reshaped view of both, so an Adam step or a zeroing is one pass over
+a buffer. Checkpoints use a small versioned binary container; see
+``save_checkpoint``.
 
 Rows are batched: a layer, the MLP and ``softmax_nll`` take one row or a
 stack ``(B, ...)`` of rows through the same code, and a backward pass sums
@@ -24,31 +27,44 @@ CHECKPOINT_VERSION = 1
 
 
 class Param:
-    """A named parameter array with a paired gradient accumulator."""
+    """A named parameter array with a paired gradient accumulator; both are
+    views into their ParamSet's flat buffers."""
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.value = value
+        self.grad = grad
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
 class ParamSet:
-    """Ordered collection of named parameters."""
+    """Ordered collection of named parameters over two flat float64 buffers,
+    ``values`` and ``grads``; every Param's arrays are reshaped views of them."""
 
     def __init__(self):
         self._params: dict[str, Param] = {}
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
 
     def add(self, name: str, value: np.ndarray) -> Param:
+        """Append a parameter; the buffers grow and every view is re-bound."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Param(name, value)
-        self._params[name] = p
-        return p
+        value = np.asarray(value, dtype=np.float64)
+        self.values = np.concatenate([self.values, value.reshape(-1)])
+        self.grads = np.concatenate([self.grads, np.zeros(value.size)])
+        self._params[name] = Param(name, value, None)
+        start = 0
+        for p in self:
+            stop = start + p.value.size
+            p.value = self.values[start:stop].reshape(p.value.shape)
+            p.grad = self.grads[start:stop].reshape(p.value.shape)
+            start = stop
+        return self._params[name]
 
     def __iter__(self):
         return iter(self._params.values())
@@ -57,8 +73,7 @@ class ParamSet:
         return self._params[name]
 
     def zero_grad(self) -> None:
-        for p in self:
-            p.grad.fill(0.0)
+        self.grads.fill(0.0)
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self}
@@ -77,7 +92,8 @@ class ParamSet:
 
 
 class AdamState:
-    """Adam optimizer state over one ParamSet (bias-corrected moments)."""
+    """Adam optimizer state over one ParamSet (bias-corrected moments), kept
+    flat like the ParamSet's buffers, so a step is one pass over them."""
 
     def __init__(self, params: ParamSet, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -86,29 +102,28 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.value) for p in params}
-        self._v = {p.name: np.zeros_like(p.value) for p in params}
+        self._m = np.zeros_like(params.values)
+        self._v = np.zeros_like(params.values)
 
     def step(self, params: ParamSet) -> None:
         """Apply one update from the accumulated gradients, then zero them."""
-        for p in params:
-            if not np.isfinite(p.grad).all():
-                raise FloatingPointError(
-                    f"non-finite gradient for parameter {p.name!r}"
-                )
+        grad = params.grads
+        if not np.isfinite(grad).all():
+            bad = next(p for p in params if not np.isfinite(p.grad).all())
+            raise FloatingPointError(
+                f"non-finite gradient for parameter {bad.name!r}"
+            )
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p in params:
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= b1
-            m += (1.0 - b1) * p.grad
-            v *= b2
-            v += (1.0 - b2) * p.grad * p.grad
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        params.zero_grad()
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1 ** self.t)
+        v_hat = v / (1.0 - b2 ** self.t)
+        params.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad.fill(0.0)
 
 
 def init_weight(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:

@@ -11,13 +11,16 @@ behavioral term. The posterior concentrates as queried data accumulates, so
 at a generous N1 the model term shrinks with training data; a small N1
 inflates it wherever the extrinsic term is high.
 
-The estimate is loop-free. The posterior perturbs only the policy head, so
-an identity's hidden activation does not depend on the draw: one hidden
-forward of all K identities and one stacked head matmul evaluate every
+The estimate takes one state or a stack of S states, and its arithmetic is
+loop-free. The posterior perturbs only the policy head, so an identity's
+hidden activation does not depend on the draw: one hidden forward of all K
+identities at all S states and one stacked head matmul evaluate every
 identity under all N2 draws, and one ``entropy`` call on the stacked rows
-gives every entropy the estimate needs. The stream order is fixed: all N2
-head draws in one ``standard_normal`` call, then all N2 x N1 identity
-uniforms in one ``random`` call.
+gives every entropy the estimate needs. The stream order is fixed per state,
+and the states of a stack take their numbers in order: all N2 head draws in
+one ``posterior_draw`` call, then all N2 x N1 identity uniforms in one
+``random`` call. So a stack leaves the stream where one call per state
+would, and each of its reports is bitwise that call's report.
 """
 from __future__ import annotations
 
@@ -67,38 +70,61 @@ def entropy(probs: np.ndarray) -> float | np.ndarray:
 
 
 def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
-             rng: np.random.Generator, state_id: str = "") -> UncertaintyReport:
-    """Nested Monte-Carlo uncertainty estimate at one state.
+             rng: np.random.Generator, state_id: str = ""):
+    """Nested Monte-Carlo uncertainty estimate: one report for a 1-d
+    ``features``, a list of S reports for a stack ``(S, in)``.
 
-    Takes the N2 posterior draws, then the N2 x N1 identity uniforms. All K
-    identities are evaluated under all draws (``(N2, K, A)``); a draw's
-    mixture and intrinsic term weight them by how often that draw picked
-    each, so an identity it did not pick adds an exact zero.
+    All K identities are evaluated under all draws (``(S, N2, K, A)``); a
+    draw's mixture and intrinsic term weight them by how often that draw
+    picked each, so an identity it did not pick adds an exact zero.
     """
     n1, n2, k = cfg.n1, cfg.n2, agent.n_teachers
     rho = agent.identity_probs(features)
-    draws = agent.posterior_draw(rng, n2)
-    picks = categorical(rho, rng, (n2, n1))
-    weights = (picks[:, :, None] == np.arange(k)).sum(axis=1) / n1
+    draws, picks = _draws(agent, rho, cfg, rng)
+    weights = (picks[..., None] == np.arange(k)).sum(axis=-2) / n1
     probs = agent.policy_probs(features, np.arange(k), draws)
-    mixtures = (weights[:, :, None] * probs).sum(axis=1)
+    mixtures = (weights[..., None] * probs).sum(axis=-2)
+    lead = rho.shape[:-1]  # () at one state, (S,) over a stack
     # sums over the draws divided by N2: the means, without np.mean's overhead
-    rows = np.concatenate([probs.reshape(n2 * k, -1), mixtures,
-                           mixtures.sum(axis=0, keepdims=True) / n2])
+    rows = np.concatenate([probs.reshape(*lead, n2 * k, -1), mixtures,
+                           mixtures.sum(axis=-2, keepdims=True) / n2], axis=-2)
     h = entropy(rows)
-    intrinsic = float((weights * h[:n2 * k].reshape(n2, k)).sum() / n2)
-    behavioral = float(h[n2 * k:-1].sum() / n2)
-    total = float(h[-1])
+    intrinsic = (weights * h[..., :n2 * k].reshape(*lead, n2, k)).sum(
+        axis=(-2, -1)) / n2
+    behavioral = h[..., n2 * k:-1].sum(axis=-1) / n2
+    if not lead:
+        return _report(float(intrinsic), float(behavioral), float(h[-1]), cfg,
+                       state_id)
+    return [_report(i, b, t, cfg, state_id) for i, b, t in
+            zip(intrinsic.tolist(), behavioral.tolist(), h[:, -1].tolist())]
+
+
+def _draws(agent, rho: np.ndarray, cfg: UncertaintyConfig,
+           rng: np.random.Generator):
+    """A state's N2 posterior draws, then its N2 x N1 identity picks. Over a
+    stack of identity rows they are taken state by state, in order, and
+    written into one stack each as they come, so no second copy is held."""
+    if rho.ndim == 1:
+        return (agent.posterior_draw(rng, cfg.n2),
+                categorical(rho, rng, (cfg.n2, cfg.n1)))
+    stacks = None
+    for s, rho_s in enumerate(rho):
+        pair = _draws(agent, rho_s, cfg, rng)
+        if stacks is None:
+            stacks = [np.empty((len(rho), *x.shape), x.dtype) for x in pair]
+        for stack, x in zip(stacks, pair):
+            stack[s] = x
+    return stacks
+
+
+def _report(intrinsic: float, behavioral: float, total: float,
+            cfg: UncertaintyConfig, state_id: str) -> UncertaintyReport:
+    """A report whose differences come from its three measured terms, so the
+    decomposition identities hold exactly."""
     return UncertaintyReport(
-        intrinsic=intrinsic,
-        extrinsic=behavioral - intrinsic,
-        behavioral=behavioral,
-        total=total,
-        model=total - behavioral,
-        n1=n1,
-        n2=n2,
-        state_id=state_id,
-    )
+        intrinsic=intrinsic, extrinsic=behavioral - intrinsic,
+        behavioral=behavioral, total=total, model=total - behavioral,
+        n1=cfg.n1, n2=cfg.n2, state_id=state_id)
 
 
 def aggregate(reports, weights, cfg: UncertaintyConfig) -> UncertaintyReport:
@@ -116,20 +142,12 @@ def aggregate(reports, weights, cfg: UncertaintyConfig) -> UncertaintyReport:
         intrinsic += w * rep.intrinsic
         behavioral += w * rep.behavioral
         total += w * rep.total
-    return UncertaintyReport(
-        intrinsic=intrinsic,
-        extrinsic=behavioral - intrinsic,
-        behavioral=behavioral,
-        total=total,
-        model=total - behavioral,
-        n1=cfg.n1,
-        n2=cfg.n2,
-        state_id="mean",
-    )
+    return _report(intrinsic, behavioral, total, cfg, "mean")
 
 
 def mean_report(agent, features_list, cfg: UncertaintyConfig,
                 rng: np.random.Generator) -> UncertaintyReport:
-    """Equal-weight ``aggregate`` of per-state estimates over a set of states."""
-    reports = [estimate(agent, feats, cfg, rng) for feats in features_list]
+    """Equal-weight ``aggregate`` of the estimates of a set of states, taken
+    in one ``estimate`` call over their stack."""
+    reports = estimate(agent, np.stack(features_list), cfg, rng)
     return aggregate(reports, [1] * len(reports), cfg)

@@ -1,7 +1,7 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
-policy sampler, loop oracles for the batched estimate, mean policy and
-episode backward, the Lemma-2 gradient check, exact teacher distributions,
-maze free cells and the tau scan."""
+policy sampler, loop oracles for the batched estimate, mean policy, episode
+backward and Adam step, the Lemma-2 gradient check, exact teacher
+distributions, maze free cells and the tau scan."""
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +125,37 @@ def per_row_exe_losses(agent, features, responses):
         agent.id_net.backward(cache, dlogits)
         id_losses.append(float(loss))
     return np.array(pol_losses), np.array(id_losses)
+
+
+class PerParamAdam:
+    """Loop oracle for ``nncore.AdamState``: one parameter array at a time,
+    with moments keyed by parameter name."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {p.name: np.zeros_like(p.value) for p in params}
+        self.v = {p.name: np.zeros_like(p.value) for p in params}
+
+    def step(self, params) -> None:
+        for p in params:
+            if not np.isfinite(p.grad).all():
+                raise FloatingPointError(
+                    f"non-finite gradient for parameter {p.name!r}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p in params:
+            m = self.m[p.name]
+            v = self.v[p.name]
+            m *= b1
+            m += (1.0 - b1) * p.grad
+            v *= b2
+            v += (1.0 - b2) * p.grad * p.grad
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p in params:
+            p.grad.fill(0.0)
 
 
 def lemma2_gradient_check(net, step: StepRecord) -> float:

@@ -192,6 +192,28 @@ def test_maze_encoding_marks_walls():
     assert set(np.unique(vec)) <= {0.0, 0.25, 0.5, 1.0}
 
 
+@pytest.mark.parametrize("map_text", [DEFAULT_MAZE_MAP, "S#...\n..#.#\n#...G\n"])
+def test_maze_tables_equal_a_brute_force_recomputation(map_text):
+    """The per-cell tables built once give, at every free cell, the wall
+    encoding and the reference actions recomputed from scratch."""
+    env = MazeGrid(map_text, horizon=20)
+    oracle = _maze_oracle_distances(map_text)
+    goal = env.reset().goal
+    for pos in free_cells(env):
+        state = EnvState(pos, goal, 0, False)
+        refs = tuple(a for a, (dr, dc) in enumerate(((-1, 0), (0, 1), (1, 0), (0, -1)))
+                     if oracle.get((pos.row + dr, pos.col + dc))
+                     == oracle[(pos.row, pos.col)] - 1)
+        assert env.ref_action_set(state) == refs, pos
+        want = np.zeros(env.state_dim)
+        want[env._walls.reshape(-1)] = ENCODE_WALL
+        want[goal.row * env.n_cols + goal.col] = ENCODE_GOAL
+        want[pos.row * env.n_cols + pos.col] = ENCODE_AGENT
+        assert np.array_equal(env.encode(state), want), pos
+    # a marked copy: encoding a state leaves the table as it was
+    assert np.array_equal(env.encode(env.reset()), env.encode(env.reset()))
+
+
 def test_maze_map_validation():
     with pytest.raises(ValueError, match="rectangular"):
         MazeGrid("S.\n.G.")
@@ -199,6 +221,10 @@ def test_maze_map_validation():
         MazeGrid("S.X\n..G")
     with pytest.raises(ValueError, match="S and one G"):
         MazeGrid("S..\n...")
+    with pytest.raises(ValueError, match="S and one G"):
+        MazeGrid("S....S\n......\n.....G")  # two starts
+    with pytest.raises(ValueError, match="S and one G"):
+        MazeGrid("S....G\n......\nG.....")  # two goals
     with pytest.raises(ValueError, match="unreachable"):
         MazeGrid("S#G")
     with pytest.raises(ValueError, match="horizon"):

@@ -165,6 +165,24 @@ def test_sweep_rejects_bad_values_before_any_work(flags, message, tmp_path,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep",
+                                     "uncertainty-report"])
+def test_map_without_the_maze_env_exits_1(command, tmp_path, capsys):
+    """``--map`` only means something for the maze: with ``--env grid`` it
+    is a usage error, raised before any work, so nothing is written."""
+    outputs = {"train": ["--out", str(tmp_path / "m.csv"),
+                         "--save", str(tmp_path / "a.ckpt")],
+               "eval": ["--load", str(tmp_path / "a.ckpt")],
+               "sweep": ["--outdir", str(tmp_path / "s")],
+               "uncertainty-report": ["--load", str(tmp_path / "a.ckpt"),
+                                      "--out", str(tmp_path / "u.csv")]}
+    code = main([command, *FAST, "--env", "grid",
+                 "--map", str(tmp_path / "nonexistent"), *outputs[command]])
+    assert code == EXIT_USAGE
+    assert "--map needs --env maze" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_records_failed_cells(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("APIL_LAB_THREADS", "1")
     outdir = tmp_path / "sweep"

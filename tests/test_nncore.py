@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import PerParamAdam
 
 from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
                              DropoutSpec, Embedding, ParamSet, categorical,
@@ -173,6 +174,53 @@ def test_adam_names_parameter_with_nonfinite_gradient():
     bad.grad[...] = np.nan
     with pytest.raises(FloatingPointError, match="broken.W"):
         AdamState(params).step(params)
+
+
+def test_flat_adam_step_equals_the_per_parameter_loop():
+    """Several steps of the fused step over the flat buffers give the
+    parameters and moments of the per-parameter loop, bit for bit, on an MLP
+    whose embedding table gets a repeated index."""
+    def make():
+        return MLP("m", 6, 5, 3, np.random.default_rng(4), lr=0.01,
+                   embed=("e", 4, 2))
+    fused, looped = make(), make()
+    oracle = PerParamAdam(looped.params, lr=0.01)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = rng.normal(size=(4, 6))
+        index = np.array([1, 3, 1, 1])
+        target = rng.integers(3, size=4)
+        for net in (fused, looped):
+            logits, cache = net.forward(x, index)
+            net.backward(cache, softmax_nll(logits, target)[2])
+        fused.update()
+        oracle.step(looped.params)
+        for a, b in zip(fused.params, looped.params):
+            assert np.array_equal(a.value, b.value), a.name
+            assert not np.any(a.grad) and not np.any(b.grad)
+        m = np.concatenate([oracle.m[p.name].ravel() for p in looped.params])
+        v = np.concatenate([oracle.v[p.name].ravel() for p in looped.params])
+        assert np.array_equal(fused.opt._m, m)
+        assert np.array_equal(fused.opt._v, v)
+    assert fused.opt.t == oracle.t == 5
+
+
+def test_paramset_views_share_one_buffer():
+    params = ParamSet()
+    a = params.add("a", np.arange(6.0).reshape(2, 3))
+    b = params.add("b", np.array([7.0, 8.0]))
+    assert params.values.shape == params.grads.shape == (8,)
+    assert np.array_equal(params.values, [0, 1, 2, 3, 4, 5, 7, 8])
+    for p in (a, b):  # the views are re-bound as parameters are added
+        assert np.shares_memory(p.value, params.values)
+        assert np.shares_memory(p.grad, params.grads)
+    assert a.value.shape == a.grad.shape == (2, 3)
+    params.load_arrays({"a": np.full((2, 3), -1.0), "b": np.zeros(2)})
+    assert np.array_equal(params.values, [-1] * 6 + [0, 0])
+    b.grad[...] = 3.0
+    assert np.array_equal(params.grads, [0] * 6 + [3, 3])
+    params.zero_grad()
+    assert not np.any(b.grad)
 
 
 def test_paramset_rejects_duplicates_and_bad_loads():

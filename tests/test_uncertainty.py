@@ -24,7 +24,8 @@ class _StubAgent:
         self.n_actions = self._policies[0].size
 
     def identity_probs(self, features):
-        return self._rho
+        # one mixture at one state, the same one at each state of a stack
+        return np.broadcast_to(self._rho, (*features.shape[:-1], self.n_teachers))
 
     def posterior_draw(self, rng, n):
         # no network, so nothing for the posterior to perturb
@@ -35,10 +36,12 @@ class _StubAgent:
 
 
 def _rows(probs, draw):
-    """Policy rows, repeated once per posterior draw of a stack."""
+    """Policy rows, repeated once per posterior draw of a stack: a state's
+    draws ``(N, 0)`` give ``(N, K, A)``, a stack of states' draws ``(S, N,
+    0)`` give ``(S, N, K, A)``."""
     if draw is None or draw.ndim < 2:
         return probs
-    return np.broadcast_to(probs, (len(draw), *probs.shape))
+    return np.broadcast_to(probs, (*draw.shape[:-1], *probs.shape[-2:]))
 
 
 class _FeatureSwitchAgent(_StubAgent):
@@ -48,8 +51,12 @@ class _FeatureSwitchAgent(_StubAgent):
         super().__init__([1.0], [np.array([0.5, 0.5])])
 
     def policy_probs(self, features, identity, draw=None):
-        policy = [0.5, 0.5] if features[0] == 0.0 else [1.0, 0.0]
-        return _rows(np.array([policy])[identity], draw)
+        # (1, A) at one state, (S, 1, 1, A) over a stack: a draw axis per state
+        uniform = features[..., 0, None, None] == 0.0
+        policy = np.where(uniform, [[0.5, 0.5]], [[1.0, 0.0]])
+        if features.ndim > 1:
+            policy = policy[:, None]
+        return _rows(policy[..., identity, :], draw)
 
 
 def test_entropy_examples():
@@ -225,18 +232,23 @@ def oracle_agents():
 
 def test_batched_estimate_equals_the_per_draw_oracle(oracle_agents):
     """Every term within 1e-12 of the loop oracle, and the rng left at the
-    same position."""
+    same position. A stack of the states gives one report per state, each
+    bitwise equal to its one-state call, and leaves its rng there too."""
     for label, agent, states in oracle_agents:
         for n1 in (1, 5, 50):
             for n2 in (1, 10):
                 cfg = UncertaintyConfig(n1, n2)
-                ours = np.random.default_rng(n1 + 100 * n2)
-                theirs = np.random.default_rng(n1 + 100 * n2)
-                for features in states:
+                ours, theirs, stacked = (np.random.default_rng(n1 + 100 * n2)
+                                         for _ in range(3))
+                reports = estimate(agent, np.stack(states), cfg, stacked,
+                                   state_id="s")
+                assert len(reports) == len(states), label
+                for features, from_stack in zip(states, reports):
                     got = asdict(estimate(agent, features, cfg, ours,
                                           state_id="s"))
                     want = asdict(per_draw_estimate(agent, features, cfg,
                                                     theirs, state_id="s"))
+                    assert asdict(from_stack) == got, (label, n1, n2)
                     assert got.keys() == want.keys()
                     for key, value in want.items():
                         if isinstance(value, float):
@@ -244,7 +256,8 @@ def test_batched_estimate_equals_the_per_draw_oracle(oracle_agents):
                                 label, n1, n2, key)
                         else:
                             assert got[key] == value, (label, n1, n2, key)
-                assert ours.random() == theirs.random(), (label, n1, n2)
+                assert ours.random() == theirs.random() == stacked.random(), (
+                    label, n1, n2)
 
 
 def test_stacked_policy_probs_equal_single_draws(oracle_agents):
