@@ -19,6 +19,14 @@ hidden forward and one stacked head matmul, ``mean_exe_policy`` evaluates
 its drawn identities in one forward, and ``exe_losses`` trains on an
 episode's queried steps as one ``(T, in)`` pass, so the head precision and
 the weights change together at episode end.
+
+One-state forwards at the mean weights (``identity_probs``, and
+``policy_probs`` without a draw) are kept in a table keyed by the state's
+bytes and the exact identity vector, since a ``(1, dim)`` matmul may round
+apart from a ``(K, dim)`` one. The table is dropped when either net's
+``ParamSet.version`` moves. Weights change only through ``update`` and
+``load_arrays``; a direct write to a ``Param.value`` is outside that
+contract. The table's arrays are shared, so they are read-only.
 """
 from __future__ import annotations
 
@@ -53,16 +61,30 @@ class PersonaAgent:
         self.head_precision = np.full(self.exe_net.out.w.value.shape,
                                       float(prior_precision))
         self.id_net = MLP("id", state_dim, hidden, n_teachers, rng, lr)
+        self._table: dict = {}
+        self._table_version = None
 
     # ---------------------------------------------------------------- forward
+
+    def _memo(self, key, forward) -> np.ndarray:
+        """Softmax of the logits ``forward()`` gives, once per ``key`` at the
+        current weights."""
+        version = (self.exe_net.params.version, self.id_net.params.version)
+        if version != self._table_version:
+            self._table, self._table_version = {}, version
+        probs = self._table.get(key)
+        if probs is None:
+            probs = self._table[key] = softmax(forward()[0])
+            probs.flags.writeable = False
+        return probs
 
     def identity_probs(self, features: np.ndarray) -> np.ndarray:
         """rho(k|s) at one state ``(K,)``, or at each state of a stack ``(S,
         K)``. Each state is a ``(1, in)`` row of its own, so it gets the bits
         of its one-state call (one matmul over the stack may round apart)."""
         if features.ndim == 1:
-            logits, _ = self.id_net.forward(features)
-            return softmax(logits)
+            return self._memo(features.tobytes(),
+                              lambda: self.id_net.forward(features))
         logits, _ = self.id_net.forward(features[:, None, :])
         return softmax(logits[:, 0])
 
@@ -89,6 +111,10 @@ class PersonaAgent:
         hidden layer as separate input blocks, and each state's block equals
         its one-state call bitwise.
         """
+        if draw is None and features.ndim == 1:
+            ids = np.asarray(identity)
+            return self._memo((features.tobytes(), ids.shape, ids.tobytes()),
+                              lambda: self.exe_net.forward(features, identity))
         if draw is None:
             logits, _ = self.exe_net.forward(features, identity)
         else:

@@ -253,6 +253,11 @@ def cmd_eval(args) -> int:
     init_rng, eval_rng = rng.spawn(2)
     policy = training.make_query_policy(cfg, env, init_rng)
     policy.load_arrays(arrays)
+    unread = (set(arrays) - set(agent.param_arrays())
+              - set(agent.posterior_arrays()) - set(policy.param_arrays()))
+    if unread:
+        raise ValueError(f"checkpoint holds arrays that --method {cfg.method} "
+                         f"does not read: {', '.join(sorted(unread))}")
     summary = training.evaluate(agent, policy, env, committee, args.episodes,
                                 eval_rng, n1=args.n1, greedy_exe=args.greedy)
     print(json.dumps(summary))

@@ -43,12 +43,17 @@ class Param:
 
 class ParamSet:
     """Ordered collection of named parameters over two flat float64 buffers,
-    ``values`` and ``grads``; every Param's arrays are reshaped views of them."""
+    ``values`` and ``grads``; every Param's arrays are reshaped views of them.
+
+    ``version`` counts the changes of the values after construction: an Adam
+    step and ``load_arrays`` are the only writers, and each bumps it.
+    """
 
     def __init__(self):
         self._params: dict[str, Param] = {}
         self.values = np.zeros(0)
         self.grads = np.zeros(0)
+        self.version = 0
 
     def add(self, name: str, value: np.ndarray) -> Param:
         """Append a parameter; the buffers grow and every view is re-bound."""
@@ -79,6 +84,7 @@ class ParamSet:
         return {p.name: p.value for p in self}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.version += 1  # first, so a load that fails part way counts too
         for p in self:
             if p.name not in arrays:
                 raise ValueError(f"checkpoint has no parameter {p.name!r}")
@@ -123,6 +129,7 @@ class AdamState:
         m_hat = m / (1.0 - b1 ** self.t)
         v_hat = v / (1.0 - b2 ** self.t)
         params.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params.version += 1
         grad.fill(0.0)
 
 

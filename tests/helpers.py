@@ -1,12 +1,13 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
 policy sampler, loop oracles for the batched estimate, mean policy, episode
-backward and Adam step, the Lemma-2 gradient check, exact teacher
+backward and Adam step, an agent without its forward table, the Lemma-2 gradient check, exact teacher
 distributions, maze free cells and the tau scan."""
 from dataclasses import replace
 
 import numpy as np
 
 from apil_lab import training
+from apil_lab.agent import PersonaAgent
 from apil_lab.envs import GridPos
 from apil_lab.nncore import categorical, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
@@ -106,6 +107,23 @@ def per_identity_mean_exe_policy(agent, features, n, rng):
     for k in np.flatnonzero(counts):
         mean += (counts[k] / n) * agent.policy_probs(features, int(k))
     return mean
+
+
+class UnmemoizedAgent(PersonaAgent):
+    """Oracle of the agent's forward table: a ``PersonaAgent`` that runs every
+    one-state forward afresh, as the agent did before it kept the table."""
+
+    def identity_probs(self, features):
+        if features.ndim > 1:
+            return super().identity_probs(features)
+        logits, _ = self.id_net.forward(features)
+        return softmax(logits)
+
+    def policy_probs(self, features, identity, draw=None):
+        if draw is not None or features.ndim > 1:
+            return super().policy_probs(features, identity, draw)
+        logits, _ = self.exe_net.forward(features, identity)
+        return softmax(logits)
 
 
 def per_row_exe_losses(agent, features, responses):

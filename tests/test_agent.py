@@ -7,9 +7,11 @@ from helpers import (per_identity_mean_exe_policy, per_row_exe_losses,
                      sample_policy)
 
 from apil_lab.agent import HIDDEN_WIDTH, PERSONA_DIM, PRIOR_PRECISION, PersonaAgent
-from apil_lab.envs import EnvState, GridPos
-from apil_lab.teachers import TeacherResponse
-from apil_lab.training import RunConfig, run_training
+from apil_lab.envs import EnvState, GridPos, make_env
+from apil_lab.nncore import softmax
+from apil_lab.query import NeverQueryPolicy
+from apil_lab.teachers import TeacherResponse, make_committee
+from apil_lab.training import RunConfig, run_episode, run_training
 
 EXPECTED_PARAMS = {"exe.hidden.W", "exe.hidden.b", "exe.out.W", "exe.out.b",
                    "exe.persona", "id.hidden.W", "id.hidden.b", "id.out.W",
@@ -103,6 +105,68 @@ def test_mean_policy_equals_the_per_identity_loop():
         want = per_identity_mean_exe_policy(agent, features, 5, theirs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert ours.random() == theirs.random()
+
+
+def _one_state_outputs(agent, features, identities):
+    return (agent.identity_probs(features),
+            agent.policy_probs(features, identities))
+
+
+def _assert_direct_forwards(agent, features, identities):
+    rho, probs = _one_state_outputs(agent, features, identities)
+    assert np.array_equal(rho, softmax(agent.id_net.forward(features)[0]))
+    assert np.array_equal(
+        probs, softmax(agent.exe_net.forward(features, identities)[0]))
+
+
+@pytest.mark.parametrize("identities", [0, np.array([1]), np.array([0, 1])])
+def test_forward_table_follows_an_adam_step(identities):
+    agent = _fresh()
+    features = np.random.default_rng(1).normal(size=25)
+    before = [a.copy() for a in _one_state_outputs(agent, features,
+                                                    identities)]
+    agent.exe_losses(features[None], [TeacherResponse(1, 1, 2.0)])
+    agent.end_episode_update()
+    _assert_direct_forwards(agent, features, identities)
+    after = _one_state_outputs(agent, features, identities)
+    assert not any(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+@pytest.mark.parametrize("identities", [0, np.array([1]), np.array([0, 1])])
+def test_forward_table_follows_load_arrays(identities):
+    agent = _fresh()
+    features = np.random.default_rng(1).normal(size=25)
+    before = [a.copy() for a in _one_state_outputs(agent, features,
+                                                    identities)]
+    agent.load_arrays(_fresh(seed=1).param_arrays())
+    _assert_direct_forwards(agent, features, identities)
+    after = _one_state_outputs(agent, features, identities)
+    assert not any(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+def test_forward_table_is_kept_across_an_episode_without_a_query():
+    env, committee = make_env("grid", None), make_committee("twodifdetm")
+    agent = _fresh(state_dim=env.state_dim)
+    features = env.encode(env.reset())
+    drawn = np.array([0, 1])
+    before = _one_state_outputs(agent, features, drawn)
+    traj, metrics = run_episode(agent, committee, env, NeverQueryPolicy(),
+                                np.random.default_rng(0))
+    assert metrics.query_rate == 0.0
+    assert traj.steps[0].features.tobytes() == features.tobytes()
+    after = _one_state_outputs(agent, features, drawn)
+    assert all(b is a for b, a in zip(before, after))
+    # one identity and a vector of it are separate entries
+    assert agent.policy_probs(features, 0).shape == (2,)
+    assert agent.policy_probs(features, np.array([0])).shape == (1, 2)
+
+
+def test_forward_table_outputs_are_read_only():
+    agent = _fresh()
+    features = np.zeros(25)
+    for out in _one_state_outputs(agent, features, np.array([0, 1])):
+        with pytest.raises(ValueError):
+            out[0] = 1.0
 
 
 def test_episode_backward_equals_the_per_row_loop():

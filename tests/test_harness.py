@@ -395,6 +395,18 @@ def test_eval_rejects_a_checkpoint_of_another_method(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("method", ["never", "bc", "dagger", "intrun"])
+def test_eval_rejects_a_checkpoint_it_cannot_fully_use(method, tmp_path,
+                                                       capsys):
+    _, ckpt = _train(tmp_path)  # apil: no ask net is read by these methods
+    capsys.readouterr()
+    assert main(["eval", "--method", method, "--load", str(ckpt),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    captured = capsys.readouterr()
+    assert "ask.hidden.W" in captured.err and "ask.out.b" in captured.err
+    assert captured.out == ""
+
+
 def test_visited_state_weights_counts():
     env = make_env("grid", None)
     committee = make_committee("detm")

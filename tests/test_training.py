@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import tune_tau
+from helpers import UnmemoizedAgent, tune_tau
 
+from apil_lab import training
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import GridWorld, make_env
 from apil_lab.query import (ASK_CONTINUE, AlwaysQueryPolicy, ApilConfig,
@@ -57,6 +58,33 @@ def test_bc_episode_follows_the_teacher():
 def test_same_seed_runs_are_identical():
     cfg = RunConfig(method="apil", episodes=30, seed=5)
     assert run_training(cfg).rows == run_training(cfg).rows
+
+
+def _checkpoint_arrays(result):
+    return {**result.agent.param_arrays(), **result.agent.posterior_arrays(),
+            **result.policy.param_arrays()}
+
+
+@pytest.mark.parametrize("method,env,teacher,episodes", [
+    ("apil", "grid", "twodifdetm", 200), ("errpred", "maze", "tworand", 60)])
+def test_forward_table_changes_no_output(method, env, teacher, episodes,
+                                         tmp_path, monkeypatch):
+    """A run with the agent's forward table writes the bytes and trains the
+    arrays of a run that recomputes every forward."""
+    cfg = RunConfig(method=method, env=env, teacher=teacher,
+                    episodes=episodes, seed=3, probe_every=20)
+    memo = run_training(cfg, out_path=tmp_path / "memo.csv")
+    # episodes without a query keep the weights, so the table is reused
+    assert any(row["query_rate"] == 0.0 for row in memo.rows)
+    monkeypatch.setattr(training, "PersonaAgent", UnmemoizedAgent)
+    fresh = run_training(cfg, out_path=tmp_path / "fresh.csv")
+    assert type(fresh.agent) is UnmemoizedAgent
+    assert ((tmp_path / "memo.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
+    got, want = _checkpoint_arrays(memo), _checkpoint_arrays(fresh)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_untrained_apil_queries_about_half_the_time():
