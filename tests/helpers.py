@@ -1,7 +1,8 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
 policy sampler, loop oracles for the batched estimate, mean policy, episode
-backward and Adam step, an agent without its forward table, the Lemma-2 gradient check, exact teacher
-distributions, maze free cells and the tau scan."""
+backward and Adam step, an agent without its forward table, the Lemma-2
+gradient check, exact teacher distributions, maze free cells and the tau
+scan."""
 from dataclasses import replace
 
 import numpy as np
