@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+ENVS = ("grid", "maze")  # the kinds make_env builds
 ENCODE_EMPTY = 0.0
 ENCODE_WALL = 0.25
 ENCODE_AGENT = 0.5

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import glob
 import json
-import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from importlib import metadata
 from pathlib import Path
 
@@ -20,12 +20,12 @@ import numpy as np
 
 from . import training
 from .agent import PersonaAgent
-from .envs import make_env
+from .envs import ENVS, make_env
 from .gradcheck import run_all as run_gradchecks
 from .nncore import load_checkpoint, save_checkpoint
 from .query import NeverQueryPolicy
 from .teachers import TEACHER_MODELS, make_committee
-from .training import (METRICS_COLUMNS, RunConfig, final_query_rate,
+from .training import (METHODS, RunConfig, final_query_rate,
                        final_success_rate, read_csv, run_training, write_csv)
 from .uncertainty import UncertaintyConfig, aggregate, estimate
 
@@ -57,22 +57,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type of an integer flag that is not a run value."""
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    check.__name__ = "int"  # names the type when the text is not an integer
+    return check
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--env", choices=("grid", "maze"), default="grid")
-    p.add_argument("--map", dest="map_path", default=None,
+    """The run-value flags; their defaults and rules are RunConfig's."""
+    p.add_argument("--env", choices=ENVS, default=RunConfig.env)
+    p.add_argument("--map", dest="map_path", default=RunConfig.map_path,
                    help="maze map file (maze env only)")
-    p.add_argument("--teacher", choices=tuple(TEACHER_MODELS), default="detm")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--err-threshold", type=float, default=0.5)
-    p.add_argument("--n1", type=int, default=5)
-    p.add_argument("--n2", type=int, default=10)
-    p.add_argument("--probe-every", type=int, default=25)
-    p.add_argument("--probe-rollouts", type=int, default=3)
+    p.add_argument("--teacher", choices=tuple(TEACHER_MODELS),
+                   default=RunConfig.teacher)
+    for name, kind in (("seed", int), ("episodes", int), ("lr", float),
+                       ("sigma", float), ("epsilon", float), ("tau", float),
+                       ("err_threshold", float), ("n1", int), ("n2", int),
+                       ("probe_every", int), ("probe_rollouts", int)):
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       default=getattr(RunConfig, name))
 
 
 def build_parser() -> _Parser:
@@ -85,17 +94,18 @@ def build_parser() -> _Parser:
     p = parser.subcommands["train"] = sub.add_parser(
         "train", help="train one run and write its metrics CSV")
     _add_run_args(p)
-    p.add_argument("--method", choices=training.METHODS, default="apil")
-    p.add_argument("--inflation-n1s", default="",
+    p.add_argument("--method", choices=METHODS, default=RunConfig.method)
+    p.add_argument("--inflation-n1s", type=_inflation_n1s,
+                   default=RunConfig.inflation_n1s,
                    help="comma list of N1 values for the inflation side CSV")
-    p.add_argument("--eval-every", type=int, default=0)
+    p.add_argument("--eval-every", type=int, default=RunConfig.eval_every)
     p.add_argument("--out", default=None, help="metrics CSV path")
     p.add_argument("--save", default=None, help="checkpoint path")
 
     p = parser.subcommands["eval"] = sub.add_parser(
         "eval", help="evaluate a checkpoint without updates")
     _add_run_args(p)
-    p.add_argument("--method", choices=training.METHODS, default="apil")
+    p.add_argument("--method", choices=METHODS, default=RunConfig.method)
     p.add_argument("--load", required=True, help="checkpoint path")
     p.add_argument("--greedy", action="store_true",
                    help="argmax of the mean policy instead of sampling")
@@ -107,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--teachers", default="detm,rand,tworand,twodifdetm")
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_at_least(0), default=0,
                    help="worker processes; 0 = available processors")
 
     p = parser.subcommands["uncertainty-report"] = sub.add_parser(
@@ -115,19 +125,20 @@ def build_parser() -> _Parser:
         help="per-state uncertainty CSV for a trained checkpoint")
     _add_run_args(p)
     p.add_argument("--load", required=True, help="checkpoint path")
-    p.add_argument("--eval-episodes", type=int, default=100)
+    p.add_argument("--eval-episodes", type=_at_least(1), default=100,
+                   help="never-query walks whose visited states are reported")
     p.add_argument("--out", required=True)
 
     p = parser.subcommands["report"] = sub.add_parser(
         "report", help="aggregate CSVs into figure/table series")
-    p.add_argument("--kind", choices=("table1", "fig4", "fig5"), required=True)
+    p.add_argument("--kind", choices=tuple(REPORTS), required=True)
     p.add_argument("--in", dest="inputs", required=True,
                    help="glob of input CSV files")
     p.add_argument("--out", required=True)
 
     p = parser.subcommands["gradcheck"] = sub.add_parser(
         "gradcheck", help="finite-difference gradient suites")
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -144,12 +155,11 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise _UsageError("config file must hold a JSON object")
-    valid = {action.dest for action in parser._actions}
-    for sp in parser.subcommands.values():
-        valid.update(action.dest for action in sp._actions)
-    for key in values:
-        if key not in valid:
-            raise _UsageError(f"unknown config field {key!r}")
+    valid = {action.dest for p in (parser, *parser.subcommands.values())
+             for action in p._actions}
+    unknown = sorted(values.keys() - valid)
+    if unknown:
+        raise _UsageError(f"unknown config field {unknown[0]!r}")
     for sp in parser.subcommands.values():
         actions = {action.dest: action for action in sp._actions}
         defaults = {}
@@ -167,60 +177,24 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     return argv
 
 
-# (argparse dest, test, what the test asks); nan fails every test
-_VALUE_RULES = [
-    *((dest, lambda v: v >= 1, "be at least 1")
-      for dest in ("n1", "n2", "episodes", "probe_rollouts", "eval_episodes")),
-    *((dest, lambda v: v >= 0, "be at least 0")
-      for dest in ("probe_every", "eval_every", "jobs")),
-    ("lr", lambda v: 0.0 < v < math.inf, "be positive and finite"),
-    ("sigma", lambda v: 1.0 < v < math.inf, "exceed 1 and be finite"),
-    ("epsilon", lambda v: 0.0 <= v < math.inf, "be non-negative and finite"),
-    ("tau", math.isfinite, "be finite"),
-    ("err_threshold", math.isfinite, "be finite"),
-]
-
-
-def _check_values(args) -> None:
-    """Reject flag values no run can use, from flags or ``--config`` alike:
-    a usage error, raised before any work."""
-    given = vars(args)
-    for dest, test, rule in _VALUE_RULES:
-        if dest in given and not test(given[dest]):
-            raise _UsageError(f"--{dest.replace('_', '-')} must {rule}, "
-                              f"got {given[dest]}")
-    if given.get("map_path") is not None and given["env"] != "maze":
-        raise _UsageError(f"--map needs --env maze, got --env {given['env']}")
-
-
 def _inflation_n1s(text: str) -> tuple[int, ...]:
+    """argparse type of ``--inflation-n1s``: a comma list of integers."""
     try:
-        n1s = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
-        raise _UsageError(f"--inflation-n1s must be a comma list of "
-                          f"integers, got {text!r}") from None
-    if min(n1s) < 1:
-        raise _UsageError(f"--inflation-n1s values must be at least 1, "
-                          f"got {text!r}")
-    return n1s
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers, "
+                                         f"got {text!r}") from None
 
 
-def _run_config(args, method: str | None = None) -> RunConfig:
-    return RunConfig(
-        env=args.env, map_path=args.map_path, teacher=args.teacher,
-        method=method or args.method, episodes=args.episodes, seed=args.seed,
-        lr=args.lr, sigma=args.sigma, epsilon=args.epsilon, tau=args.tau,
-        err_threshold=args.err_threshold, n1=args.n1, n2=args.n2,
-        probe_every=args.probe_every, probe_rollouts=args.probe_rollouts,
-    )
+def _run_config(args) -> RunConfig:
+    """The RunConfig of a run command's flags; building it checks them."""
+    given = vars(args)
+    # uncertainty-report's --eval-episodes counts its walks, not periodic evals
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                        if f.name in given and f.name != "eval_episodes"})
 
 
-def cmd_train(args) -> int:
-    cfg = _run_config(args)
-    if args.inflation_n1s:
-        cfg = replace(cfg, inflation_n1s=_inflation_n1s(args.inflation_n1s))
-    if args.eval_every:
-        cfg = replace(cfg, eval_every=args.eval_every)
+def cmd_train(args, cfg: RunConfig) -> int:
     result = run_training(cfg, out_path=args.out)
     if args.save:
         arrays = dict(result.agent.param_arrays())
@@ -235,21 +209,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_agent(args, committee_size: int):
-    env = make_env(args.env, args.map_path)
-    rng = np.random.default_rng(args.seed)
+def _load_agent(cfg: RunConfig, path: str, committee_size: int):
+    env = make_env(cfg.env, cfg.map_path)
+    rng = np.random.default_rng(cfg.seed)
     agent = PersonaAgent(env.state_dim, env.n_actions, committee_size, rng)
-    arrays = load_checkpoint(args.load)
+    arrays = load_checkpoint(path)
     agent.load_arrays(arrays)
     agent.load_posterior_arrays(arrays)
     return env, agent, arrays
 
 
-def cmd_eval(args) -> int:
-    committee = make_committee(args.teacher)
-    env, agent, arrays = _load_agent(args, committee.size)
-    cfg = _run_config(args)
-    rng = np.random.default_rng(args.seed)
+def cmd_eval(args, cfg: RunConfig) -> int:
+    committee = make_committee(cfg.teacher)
+    env, agent, arrays = _load_agent(cfg, args.load, committee.size)
+    rng = np.random.default_rng(cfg.seed)
     init_rng, eval_rng = rng.spawn(2)
     policy = training.make_query_policy(cfg, env, init_rng)
     policy.load_arrays(arrays)
@@ -258,41 +231,41 @@ def cmd_eval(args) -> int:
     if unread:
         raise ValueError(f"checkpoint holds arrays that --method {cfg.method} "
                          f"does not read: {', '.join(sorted(unread))}")
-    summary = training.evaluate(agent, policy, env, committee, args.episodes,
-                                eval_rng, n1=args.n1, greedy_exe=args.greedy)
+    summary = training.evaluate(agent, policy, env, committee, cfg.episodes,
+                                eval_rng, n1=cfg.n1, greedy_exe=args.greedy)
     print(json.dumps(summary))
     return EXIT_OK
 
 
-def _sweep_cell(cfg_dict: dict, out_path: str):
-    cfg = RunConfig(**cfg_dict)
-    run_training(cfg, out_path=out_path)
-    return out_path
+def _sweep_cell(cfg_dict: dict, out_path: str) -> None:
+    run_training(RunConfig(**cfg_dict), out_path=out_path)
 
 
-def cmd_sweep(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    teachers = [t.strip() for t in args.teachers.split(",") if t.strip()]
+def _sweep_list(args, flag: str, item=str.strip) -> list:
+    text = getattr(args, flag)
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        items = [item(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise _UsageError(f"--seeds must be a comma list of integers, "
-                          f"got {args.seeds!r}") from None
+        raise _UsageError(f"--{flag} must be a comma list of integers, "
+                          f"got {text!r}") from None
+    if len(set(items)) < len(items):
+        raise _UsageError(f"--{flag} repeats an entry: {text!r}")
+    return items
+
+
+def cmd_sweep(args, cfg: RunConfig) -> int:
+    methods = _sweep_list(args, "methods")
+    teachers = _sweep_list(args, "teachers")
+    seeds = _sweep_list(args, "seeds", int)
     if not (methods and teachers and seeds):
         raise _UsageError("sweep needs at least one method, teacher, and seed")
-    outdir = Path(args.outdir)
     # every cell's config is built, and so checked, before any work
-    cells = []
     try:
-        for method in methods:
-            for teacher in teachers:
-                for seed in seeds:
-                    cfg = replace(_run_config(args, method=method),
-                                  teacher=teacher, seed=seed)
-                    name = f"{method}_{teacher}_s{seed}.csv"
-                    cells.append((cfg, str(outdir / name)))
+        cells = {f"{m}_{t}_s{s}.csv": replace(cfg, method=m, teacher=t, seed=s)
+                 for m in methods for t in teachers for s in seeds}
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     jobs = args.jobs or os.cpu_count() or 1
@@ -306,12 +279,12 @@ def cmd_sweep(args) -> int:
 
     statuses = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_sweep_cell, asdict(cfg), path): (cfg, path)
-                   for cfg, path in cells}
+        futures = {pool.submit(_sweep_cell, asdict(cell), str(outdir / name)):
+                   (cell, name) for name, cell in cells.items()}
         for fut in concurrent.futures.as_completed(futures):
-            cfg, path = futures[fut]
-            entry = {"method": cfg.method, "teacher": cfg.teacher,
-                     "seed": cfg.seed, "csv": os.path.basename(path)}
+            cell, name = futures[fut]
+            entry = {"method": cell.method, "teacher": cell.teacher,
+                     "seed": cell.seed, "csv": name}
             try:
                 fut.result()
                 entry["status"] = "ok"
@@ -323,7 +296,7 @@ def cmd_sweep(args) -> int:
     statuses.sort(key=lambda e: (e["method"], e["teacher"], e["seed"]))
     manifest = {
         "version": _describe_version(),
-        "base_config": asdict(_run_config(args, method=methods[0])),
+        "base_config": asdict(replace(cfg, method=methods[0])),
         "cells": statuses,
     }
     with open(outdir / "manifest.json", "w") as fh:
@@ -374,7 +347,8 @@ def uncertainty_report_rows(agent, env, committee, n_episodes: int,
                             rng: np.random.Generator) -> list[dict]:
     """Per-state uncertainty over states the trained agent actually visits,
     plus a visit-weighted aggregate row."""
-    visited = visited_state_weights(agent, env, committee, n_episodes, rng)
+    visited = visited_state_weights(agent, env, committee, n_episodes, rng,
+                                    ucfg.n1)
     reports = [estimate(agent, features, ucfg, rng, state_id=state_id)
                for features, state_id, _ in visited]
     rows = sorted((asdict(rep) for rep in reports),
@@ -384,20 +358,18 @@ def uncertainty_report_rows(agent, env, committee, n_episodes: int,
     return rows
 
 
-def cmd_uncertainty_report(args) -> int:
-    committee = make_committee(args.teacher)
-    env, agent, _ = _load_agent(args, committee.size)
-    rng = np.random.default_rng(args.seed)
+def cmd_uncertainty_report(args, cfg: RunConfig) -> int:
+    committee = make_committee(cfg.teacher)
+    env, agent, _ = _load_agent(cfg, args.load, committee.size)
+    rng = np.random.default_rng(cfg.seed)
     rows = uncertainty_report_rows(agent, env, committee, args.eval_episodes,
-                                   UncertaintyConfig(args.n1, args.n2), rng)
+                                   cfg.uncertainty, rng)
     write_csv(args.out, UNCERTAINTY_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
 def _glob_inputs(pattern: str) -> list[Path]:
-    import glob
-
     paths = [Path(p) for p in sorted(glob.glob(pattern))]
     if not paths:
         raise FileNotFoundError(f"no files match {pattern!r}")
@@ -410,6 +382,15 @@ def _teacher_of_file(path: Path) -> str | None:
         if teacher in tokens:
             return teacher
     return None
+
+
+def _report_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """An input CSV's rows; one that lacks a needed column is bad data."""
+    rows = read_csv(path)
+    for col in columns:
+        if rows and col not in rows[0]:
+            raise ValueError(f"{path} has no column {col!r}")
+    return rows
 
 
 def make_table1(paths: list[Path]) -> list[dict]:
@@ -430,7 +411,8 @@ def make_table1(paths: list[Path]) -> list[dict]:
     for teacher in TEACHER_MODELS:
         intr, extr = [], []
         for path in by_teacher[teacher]:
-            for row in read_csv(path):
+            for row in _report_rows(path, ("state_id", "intrinsic",
+                                           "extrinsic")):
                 if row["state_id"] == "mean":
                     intr.append(float(row["intrinsic"]))
                     extr.append(float(row["extrinsic"]))
@@ -446,7 +428,8 @@ def make_fig4(paths: list[Path]) -> list[dict]:
     """Mean query rate per (method, teacher, episode) across seeds."""
     acc: dict[tuple[str, str, int], list[float]] = {}
     for path in paths:
-        for row in read_csv(path):
+        for row in _report_rows(path, ("method", "teacher", "episode",
+                                       "query_rate")):
             key = (row["method"], row["teacher"], int(row["episode"]))
             acc.setdefault(key, []).append(float(row["query_rate"]))
     return [{"method": m, "teacher": t, "episode": e,
@@ -458,31 +441,30 @@ def make_fig5(paths: list[Path]) -> list[dict]:
     """Mean model-uncertainty per (n1, episode) across seeds."""
     acc: dict[tuple[int, int], list[float]] = {}
     for path in paths:
-        for row in read_csv(path):
+        for row in _report_rows(path, ("n1", "episode", "model")):
             key = (int(row["n1"]), int(row["episode"]))
             acc.setdefault(key, []).append(float(row["model"]))
     return [{"n1": n1, "episode": e, "model": float(np.mean(v))}
             for (n1, e), v in sorted(acc.items())]
 
 
-def cmd_report(args) -> int:
-    paths = _glob_inputs(args.inputs)
-    if args.kind == "table1":
-        rows = make_table1(paths)
-        cols = ("teacher", "intrinsic", "extrinsic",
-                "ref_intrinsic", "ref_extrinsic")
-    elif args.kind == "fig4":
-        rows = make_fig4(paths)
-        cols = ("method", "teacher", "episode", "query_rate")
-    else:
-        rows = make_fig5(paths)
-        cols = ("n1", "episode", "model")
+REPORTS = {  # kind: (maker, output columns)
+    "table1": (make_table1, ("teacher", "intrinsic", "extrinsic",
+                             "ref_intrinsic", "ref_extrinsic")),
+    "fig4": (make_fig4, ("method", "teacher", "episode", "query_rate")),
+    "fig5": (make_fig5, ("n1", "episode", "model")),
+}
+
+
+def cmd_report(args, _cfg) -> int:
+    make, cols = REPORTS[args.kind]
+    rows = make(_glob_inputs(args.inputs))
     write_csv(args.out, cols, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, _cfg) -> int:
     results = run_gradchecks(seed=args.seed, cases=args.cases)
     ok = True
     for name, worst, passed in results:
@@ -500,6 +482,7 @@ COMMANDS = {
     "report": cmd_report,
     "gradcheck": cmd_gradcheck,
 }
+RUN_COMMANDS = ("train", "eval", "sweep", "uncertainty-report")  # take a cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,12 +491,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        _check_values(args)
-    except (_UsageError, OSError, json.JSONDecodeError) as exc:
+        cfg = _run_config(args) if args.command in RUN_COMMANDS else None
+    except (_UsageError, OSError, ValueError) as exc:  # JSONDecodeError too
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args, cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

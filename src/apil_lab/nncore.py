@@ -24,6 +24,7 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"APILCKPT"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Param:
@@ -101,12 +102,8 @@ class AdamState:
     """Adam optimizer state over one ParamSet (bias-corrected moments), kept
     flat like the ParamSet's buffers, so a step is one pass over them."""
 
-    def __init__(self, params: ParamSet, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamSet, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(params.values)
         self._v = np.zeros_like(params.values)
@@ -120,7 +117,7 @@ class AdamState:
                 f"non-finite gradient for parameter {bad.name!r}"
             )
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v = self._m, self._v
         m *= b1
         m += (1.0 - b1) * grad
@@ -128,7 +125,7 @@ class AdamState:
         v += (1.0 - b2) * grad * grad
         m_hat = m / (1.0 - b1 ** self.t)
         v_hat = v / (1.0 - b2 ** self.t)
-        params.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params.values -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         params.version += 1
         grad.fill(0.0)
 

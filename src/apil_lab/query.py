@@ -60,11 +60,12 @@ class ApilConfig:
     epsilon: float = 0.0
     teacher_final_distance: float = 0.0
 
-    def __post_init__(self):
-        if self.sigma <= 1.0:
-            raise ValueError(f"sigma must exceed 1, got {self.sigma}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+    def __post_init__(self):  # each test is written so that nan fails it
+        if not 1.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must exceed 1 and be finite, got {self.sigma}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be non-negative and finite, "
+                             f"got {self.epsilon}")
 
 
 def progress_flags(traj: Trajectory, cfg: ApilConfig) -> list[bool]:

@@ -15,11 +15,12 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .agent import PersonaAgent
-from .envs import make_env
+from .envs import ENVS, make_env
 from .nncore import categorical
 from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
@@ -44,6 +45,9 @@ EVAL_COLUMNS = ("episode", "method", "teacher", "env", "seed", "query_rate",
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run cell: the one place of its defaults and value rules, all
+    checked when it is built. The sigma/epsilon and n1/n2 rules are those
+    of the ``apil``, ``uncertainty`` and ``inflation`` configs it builds."""
     env: str = "grid"
     map_path: str | None = None
     teacher: str = "detm"
@@ -62,16 +66,36 @@ class RunConfig:
     inflation_n1s: tuple[int, ...] = ()
     eval_every: int = 0
     eval_episodes: int = 20
-    d_star_rollouts: int = 100
+    d_star_rollouts: ClassVar[int] = 100
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.teacher not in TEACHER_MODELS:
-            raise ValueError(f"unknown teacher {self.teacher!r}; expected one "
-                             f"of {tuple(TEACHER_MODELS)}")
-        if self.episodes < 1:
-            raise ValueError("episodes must be positive")
+        for name, choices in (("env", ENVS), ("teacher", tuple(TEACHER_MODELS)),
+                              ("method", METHODS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"expected one of {choices}")
+        if self.map_path is not None and self.env != "maze":
+            raise ValueError(f"--map needs --env maze, got --env {self.env}")
+        # (field, test, what the test asks); nan fails every test
+        for name, test, rule in (
+                *((name, lambda v: v >= 1, "be at least 1") for name in
+                  ("episodes", "probe_rollouts", "eval_episodes")),
+                *((name, lambda v: v >= 0, "be at least 0") for name in
+                  ("seed", "probe_every", "eval_every")),
+                ("inflation_n1s", lambda v: all(n1 >= 1 for n1 in v),
+                 "each be at least 1"),
+                ("lr", lambda v: 0.0 < v < np.inf, "be positive and finite"),
+                ("tau", np.isfinite, "be finite"),
+                ("err_threshold", np.isfinite, "be finite")):
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"{name} must {rule}, got {value}")
+        built = {"apil": ApilConfig(self.sigma, self.epsilon),
+                 "uncertainty": UncertaintyConfig(self.n1, self.n2),
+                 "inflation": tuple(UncertaintyConfig(n1, self.n2)
+                                    for n1 in self.inflation_n1s)}
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -98,24 +122,20 @@ class RunResult:
 
 
 def make_query_policy(cfg: RunConfig, env, rng: np.random.Generator):
-    apil_cfg = ApilConfig(sigma=cfg.sigma, epsilon=cfg.epsilon)
     if cfg.method in ("apil", "phil-ignore"):
         net = QueryNet(env.state_dim, env.n_actions, env.horizon, rng, lr=cfg.lr)
-        return HindsightQueryPolicy(net, apil_cfg,
+        return HindsightQueryPolicy(net, cfg.apil,
                                     use_ignore=cfg.method == "phil-ignore")
     if cfg.method == "bc":
         return AlwaysQueryPolicy()
     if cfg.method == "dagger":
         return DaggerPolicy()
     if cfg.method in ("intrun", "extrun", "behvun"):
-        return ThresholdQueryPolicy(cfg.method, cfg.tau,
-                                    UncertaintyConfig(cfg.n1, cfg.n2))
+        return ThresholdQueryPolicy(cfg.method, cfg.tau, cfg.uncertainty)
     if cfg.method == "errpred":
         net = ErrPredNet(env.state_dim, env.n_actions, rng, lr=cfg.lr)
         return ErrPredQueryPolicy(net, cfg.err_threshold)
-    if cfg.method == "never":
-        return NeverQueryPolicy()
-    raise ValueError(f"unknown method {cfg.method!r}")
+    return NeverQueryPolicy()  # "never": RunConfig admits no other method
 
 
 def rollout(agent: PersonaAgent | None, committee, env, policy,
@@ -263,8 +283,6 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
 
     probe_features = probe_trajectory_features(env, committee, probe_rng,
                                                cfg.probe_rollouts)
-    ucfg = UncertaintyConfig(cfg.n1, cfg.n2)
-
     tag = {"method": cfg.method, "teacher": cfg.teacher, "env": cfg.env,
            "seed": cfg.seed}
     rows: list[dict] = []
@@ -273,13 +291,12 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
     for episode in range(cfg.episodes):
         probe = None
         if cfg.probe_every and episode % cfg.probe_every == 0:
-            probe = mean_report(agent, probe_features, ucfg, probe_rng)
-            for n1 in cfg.inflation_n1s:
-                rep = mean_report(agent, probe_features,
-                                  UncertaintyConfig(int(n1), cfg.n2),
-                                  inflation_rng)
+            probe = mean_report(agent, probe_features, cfg.uncertainty,
+                                probe_rng)
+            for ucfg in cfg.inflation:
+                rep = mean_report(agent, probe_features, ucfg, inflation_rng)
                 inflation_rows.append({"episode": episode, **tag,
-                                       "n1": int(n1), "model": rep.model})
+                                       "n1": ucfg.n1, "model": rep.model})
         _, metrics = run_episode(agent, committee, env, policy, train_rng,
                                  n1=cfg.n1, train=True)
         row = {"episode": episode, **tag,

@@ -37,8 +37,9 @@ class UncertaintyConfig:
     n2: int = 10
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("n1 and n2 must be positive")
+        for name, value in (("n1", self.n1), ("n2", self.n2)):
+            if not value >= 1:  # nan fails too
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)

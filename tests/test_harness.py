@@ -14,7 +14,8 @@ from apil_lab.harness import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
 from apil_lab.nncore import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                              load_checkpoint, save_checkpoint)
 from apil_lab.teachers import make_committee
-from apil_lab.training import RunConfig, read_csv, run_training, write_csv
+from apil_lab.training import (METRICS_COLUMNS, RunConfig, read_csv,
+                               run_training, write_csv)
 from apil_lab.uncertainty import UncertaintyConfig
 
 FAST = ["--episodes", "2", "--probe-every", "0"]
@@ -46,7 +47,7 @@ def test_usage_errors_exit_1(capsys):
     ["--n1", "0"], ["--n2", "0"], ["--lr", "nan"], ["--lr", "0"],
     ["--sigma", "0.5"], ["--sigma", "nan"], ["--epsilon", "-1"],
     ["--tau", "nan"], ["--episodes", "0"], ["--inflation-n1s", "5,x"],
-    ["--inflation-n1s", "0"],
+    ["--inflation-n1s", "0"], ["--seed", "-1"],
 ])
 def test_bad_flag_values_exit_1(flags, tmp_path, capsys):
     out = tmp_path / "m.csv"
@@ -64,6 +65,30 @@ def test_bad_flag_values_from_a_config_file_exit_1(field, value, tmp_path,
     cfg.write_text(json.dumps({field: value}))
     assert main(["--config", str(cfg), "train", *FAST]) == EXIT_USAGE
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+@pytest.mark.parametrize("command,field,value", [
+    ("gradcheck", "cases", 0), ("gradcheck", "cases", -1),
+    ("sweep", "jobs", -1), ("uncertainty-report", "eval_episodes", 0),
+])
+def test_counts_that_are_not_run_values_keep_their_rule(
+        command, field, value, from_config, tmp_path, capsys):
+    """Flags outside RunConfig check their own bound, before any work."""
+    required = {"gradcheck": [],
+                "sweep": ["--outdir", str(tmp_path / "s")],
+                "uncertainty-report": ["--load", str(tmp_path / "a.ckpt"),
+                                       "--out", str(tmp_path / "u.csv")]}
+    flag = "--" + field.replace("_", "-")
+    config = tmp_path / "cfg.json"
+    if from_config:
+        config.write_text(json.dumps({field: value}))
+        argv = ["--config", str(config), command, *required[command]]
+    else:
+        argv = [command, flag, str(value), *required[command]]
+    assert main(argv) == EXIT_USAGE
+    assert f"{flag}: must be at least" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([config] if from_config else [])
 
 
 def test_bad_thread_cap_exits_1(tmp_path, monkeypatch, capsys):
@@ -156,6 +181,9 @@ def test_sweep_rejects_empty_lists(tmp_path, capsys):
     (["--seeds", "0,x"], "--seeds"),
     (["--methods", "bogus"], "unknown method"),
     (["--teachers", "detm,bogus"], "unknown teacher"),
+    (["--seeds", "0,-1"], "seed must be at least 0"),
+    (["--methods", "never,never", "--seeds", "0,0"], "repeats an entry"),
+    (["--teachers", "detm,rand,detm"], "repeats an entry"),
 ])
 def test_sweep_rejects_bad_values_before_any_work(flags, message, tmp_path,
                                                  capsys):
@@ -267,6 +295,26 @@ def test_report_fig5(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind,columns,missing", [
+    ("table1", METRICS_COLUMNS, "state_id"),
+    ("fig4", UNCERTAINTY_COLUMNS, "method"),
+    ("fig5", METRICS_COLUMNS, "n1"),
+])
+def test_report_names_the_file_and_the_column_it_lacks(kind, columns, missing,
+                                                       tmp_path, capsys):
+    """A CSV of the wrong kind is bad data: exit 2 with an error line."""
+    for teacher in TABLE1_REFERENCE:
+        write_csv(tmp_path / f"in_{teacher}.csv", columns,
+                  [dict.fromkeys(columns, 0)])
+    out = tmp_path / "out.csv"
+    assert main(["report", "--kind", kind, "--in", str(tmp_path / "in_*.csv"),
+                 "--out", str(out)]) == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "in_detm.csv" in err and repr(missing) in err
+    assert not out.exists()
+
+
 def test_report_empty_glob(tmp_path, capsys):
     code = main(["report", "--kind", "fig4", "--in",
                  str(tmp_path / "none_*.csv"), "--out", str(tmp_path / "o")])
@@ -317,6 +365,26 @@ def test_uncertainty_report_from_checkpoint_matches_trained_agent(tmp_path,
     expected = tmp_path / "in_memory.csv"
     write_csv(expected, UNCERTAINTY_COLUMNS, rows)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_uncertainty_report_walks_with_the_run_n1():
+    """The visited states come from walks at the n1 the estimates use."""
+    env = make_env("grid", None)
+    committee = make_committee("detm")
+    agent = PersonaAgent(env.state_dim, env.n_actions, committee.size,
+                         np.random.default_rng(0))
+    walked_n1s = []
+    mean_exe_policy = agent.mean_exe_policy
+
+    def recording(features, n, rng):
+        walked_n1s.append(n)
+        return mean_exe_policy(features, n, rng)
+
+    agent.mean_exe_policy = recording
+    uncertainty_report_rows(agent, env, committee, 2,
+                            UncertaintyConfig(n1=3, n2=4),
+                            np.random.default_rng(1))
+    assert walked_n1s and set(walked_n1s) == {3}
 
 
 def test_checkpoint_without_posterior_precision_is_rejected(tmp_path, capsys):

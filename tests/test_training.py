@@ -1,11 +1,14 @@
 """Unit tests for the episode loop, training runs, and CSV logging."""
-from dataclasses import replace
+import math
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import UnmemoizedAgent, tune_tau
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apil_lab import training
 from apil_lab.agent import PersonaAgent
@@ -14,8 +17,8 @@ from apil_lab.query import (ASK_CONTINUE, AlwaysQueryPolicy, ApilConfig,
                             DaggerPolicy, ErrPredQueryPolicy,
                             HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
                             ThresholdQueryPolicy)
-from apil_lab.teachers import make_committee
-from apil_lab.training import (METRICS_COLUMNS, RunConfig, evaluate,
+from apil_lab.teachers import TEACHER_MODELS, make_committee
+from apil_lab.training import (METHODS, METRICS_COLUMNS, RunConfig, evaluate,
                                final_query_rate, final_success_rate,
                                make_query_policy, read_csv, rollout,
                                run_episode, run_training, write_csv)
@@ -171,6 +174,76 @@ def test_config_validation():
         RunConfig(teacher="bogus")
     with pytest.raises(ValueError, match="episodes"):
         RunConfig(episodes=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n1", 0), ("n2", 0), ("lr", math.nan), ("lr", 0.0), ("sigma", 0.5),
+    ("sigma", math.nan), ("epsilon", -1.0), ("tau", math.nan), ("episodes", 0),
+    ("inflation_n1s", (5, 0)), ("seed", -1), ("map_path", "map.txt"),
+    ("env", "bogus"),
+])
+def test_config_rejects_each_bad_value(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        RunConfig(**{field: value})
+
+
+def test_config_builds_its_policy_and_estimate_configs():
+    cfg = RunConfig(sigma=3.0, epsilon=0.5, n1=7, n2=4, inflation_n1s=(5, 50))
+    assert cfg.apil == ApilConfig(sigma=3.0, epsilon=0.5)
+    assert (cfg.uncertainty.n1, cfg.uncertainty.n2) == (7, 4)
+    assert [(u.n1, u.n2) for u in cfg.inflation] == [(5, 4), (50, 4)]
+    assert cfg.d_star_rollouts == 100 and "d_star_rollouts" not in asdict(cfg)
+
+
+ODD_NUMBERS = st.one_of(st.integers(-2, 3), st.floats(-2.0, 3.0),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+DEFAULTS = asdict(RunConfig())
+ODD_VALUES = {
+    **{name: ODD_NUMBERS for name in DEFAULTS},
+    "env": st.sampled_from(["grid", "maze", "bogus"]),
+    "map_path": st.sampled_from([None, "map.txt"]),
+    "teacher": st.sampled_from([*TEACHER_MODELS, "bogus"]),
+    "method": st.sampled_from([*METHODS, "bogus"]),
+    "inflation_n1s": st.lists(ODD_NUMBERS, max_size=3).map(tuple),
+}
+
+
+@st.composite
+def run_values(draw):
+    """The default run with up to three fields set to odd values."""
+    values = dict(DEFAULTS)
+    for name in draw(st.sets(st.sampled_from(sorted(DEFAULTS)), max_size=3)):
+        values[name] = draw(ODD_VALUES[name])
+    return values
+
+
+def _breaks_a_rule(v) -> bool:
+    """The run rules, stated apart from RunConfig; nan fails each."""
+    at_least = {"episodes": 1, "n1": 1, "n2": 1, "probe_rollouts": 1,
+                "eval_episodes": 1, "seed": 0, "probe_every": 0,
+                "eval_every": 0}
+    return (v["env"] not in ("grid", "maze")
+            or v["teacher"] not in TEACHER_MODELS
+            or v["method"] not in METHODS
+            or (v["map_path"] is not None and v["env"] != "maze")
+            or not all(v[name] >= low for name, low in at_least.items())
+            or not all(n1 >= 1 for n1 in v["inflation_n1s"])
+            or not 0.0 < v["lr"] < math.inf
+            or not 1.0 < v["sigma"] < math.inf
+            or not 0.0 <= v["epsilon"] < math.inf
+            or not math.isfinite(v["tau"])
+            or not math.isfinite(v["err_threshold"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(DEFAULTS)
+@given(run_values())
+def test_config_raises_exactly_when_a_rule_fails(values):
+    if _breaks_a_rule(values):
+        with pytest.raises(ValueError):
+            RunConfig(**values)
+    else:
+        RunConfig(**values)
 
 
 def test_make_query_policy_dispatch():
