@@ -173,19 +173,16 @@ class PersonaAgent:
     # ------------------------------------------------------------ persistence
 
     def param_arrays(self) -> dict[str, np.ndarray]:
+        """The checkpoint arrays: both nets' parameters, then the head
+        precision."""
         arrays = dict(self.exe_net.params.as_arrays())
         arrays.update(self.id_net.params.as_arrays())
+        arrays[HEAD_PRECISION_NAME] = self.head_precision
         return arrays
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self.exe_net.params.load_arrays(arrays)
         self.id_net.params.load_arrays(arrays)
-
-    def posterior_arrays(self) -> dict[str, np.ndarray]:
-        """Posterior state saved beside the trainable parameters."""
-        return {HEAD_PRECISION_NAME: self.head_precision}
-
-    def load_posterior_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         if HEAD_PRECISION_NAME not in arrays:
             raise ValueError(f"checkpoint has no posterior precision "
                              f"{HEAD_PRECISION_NAME!r}; save it from a "

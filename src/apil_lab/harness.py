@@ -12,19 +12,18 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
 from . import training
-from .agent import PersonaAgent
-from .envs import ENVS, make_env
+from .envs import ENVS
 from .gradcheck import run_all as run_gradchecks
 from .nncore import load_checkpoint, save_checkpoint
 from .query import NeverQueryPolicy
-from .teachers import TEACHER_MODELS, make_committee
+from .teachers import TEACHER_MODELS
 from .training import (METHODS, RunConfig, final_query_rate,
                        final_success_rate, read_csv, run_training, write_csv)
 from .uncertainty import UncertaintyConfig, aggregate, estimate
@@ -33,8 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUN_FAILURE = 2
 EXIT_CHECK_FAILURE = 3
-
-THREADS_ENV_VAR = "APIL_LAB_THREADS"
 
 UNCERTAINTY_COLUMNS = ("state_id", "intrinsic", "extrinsic", "behavioral",
                        "total", "model", "n1", "n2")
@@ -53,6 +50,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: a sweep's --seed is not its --seeds
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -69,19 +70,46 @@ def _at_least(low: int):
     return check
 
 
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    """The run-value flags; their defaults and rules are RunConfig's."""
-    p.add_argument("--env", choices=ENVS, default=RunConfig.env)
-    p.add_argument("--map", dest="map_path", default=RunConfig.map_path,
-                   help="maze map file (maze env only)")
-    p.add_argument("--teacher", choices=tuple(TEACHER_MODELS),
-                   default=RunConfig.teacher)
-    for name, kind in (("seed", int), ("episodes", int), ("lr", float),
-                       ("sigma", float), ("epsilon", float), ("tau", float),
-                       ("err_threshold", float), ("n1", int), ("n2", int),
-                       ("probe_every", int), ("probe_rollouts", int)):
-        p.add_argument("--" + name.replace("_", "-"), type=kind,
-                       default=getattr(RunConfig, name))
+def _inflation_n1s(text: str) -> tuple[int, ...]:
+    """argparse type of ``--inflation-n1s``: a comma list of integers."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers, "
+                                         f"got {text!r}") from None
+
+
+# The RunConfig fields each run command reads: its run flags and its
+# RunConfig are built from these, so a flag it would not read does not exist.
+# A sweep's cells take their method, teacher and seed from its lists.
+RUN_FIELDS = {
+    "train": ("env", "map_path", "teacher", "seed", "episodes", "lr", "sigma",
+              "epsilon", "tau", "err_threshold", "n1", "n2", "probe_every",
+              "probe_rollouts", "method", "inflation_n1s", "eval_every"),
+    "eval": ("env", "map_path", "teacher", "seed", "episodes", "tau",
+             "err_threshold", "n1", "n2", "method"),
+    "sweep": ("env", "map_path", "episodes", "lr", "sigma", "epsilon", "tau",
+              "err_threshold", "n1", "n2", "probe_every", "probe_rollouts"),
+    "uncertainty-report": ("env", "map_path", "teacher", "seed", "n1", "n2"),
+}
+_RUN_FLAG_KEYWORDS = {  # a run flag's argparse keywords, if not its type
+    "env": {"choices": ENVS},
+    "map_path": {"help": "maze map file (maze env only)"},
+    "teacher": {"choices": tuple(TEACHER_MODELS)},
+    "method": {"choices": METHODS},
+    "inflation_n1s": {"type": _inflation_n1s, "help": "comma list of N1 "
+                      "values for the inflation side CSV"},
+}
+
+
+def _add_run_args(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of the fields ``command`` reads; their defaults and rules
+    are RunConfig's."""
+    for name in RUN_FIELDS[command]:
+        default = getattr(RunConfig, name)
+        flag = "--map" if name == "map_path" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, default=default,
+                       **_RUN_FLAG_KEYWORDS.get(name, {"type": type(default)}))
 
 
 def build_parser() -> _Parser:
@@ -93,26 +121,20 @@ def build_parser() -> _Parser:
 
     p = parser.subcommands["train"] = sub.add_parser(
         "train", help="train one run and write its metrics CSV")
-    _add_run_args(p)
-    p.add_argument("--method", choices=METHODS, default=RunConfig.method)
-    p.add_argument("--inflation-n1s", type=_inflation_n1s,
-                   default=RunConfig.inflation_n1s,
-                   help="comma list of N1 values for the inflation side CSV")
-    p.add_argument("--eval-every", type=int, default=RunConfig.eval_every)
+    _add_run_args(p, "train")
     p.add_argument("--out", default=None, help="metrics CSV path")
     p.add_argument("--save", default=None, help="checkpoint path")
 
     p = parser.subcommands["eval"] = sub.add_parser(
         "eval", help="evaluate a checkpoint without updates")
-    _add_run_args(p)
-    p.add_argument("--method", choices=METHODS, default=RunConfig.method)
+    _add_run_args(p, "eval")
     p.add_argument("--load", required=True, help="checkpoint path")
     p.add_argument("--greedy", action="store_true",
                    help="argmax of the mean policy instead of sampling")
 
     p = parser.subcommands["sweep"] = sub.add_parser(
         "sweep", help="run a grid of training cells in parallel")
-    _add_run_args(p)
+    _add_run_args(p, "sweep")
     p.add_argument("--methods", default="apil,bc,dagger")
     p.add_argument("--teachers", default="detm,rand,tworand,twodifdetm")
     p.add_argument("--seeds", default="0,1,2")
@@ -123,7 +145,7 @@ def build_parser() -> _Parser:
     p = parser.subcommands["uncertainty-report"] = sub.add_parser(
         "uncertainty-report",
         help="per-state uncertainty CSV for a trained checkpoint")
-    _add_run_args(p)
+    _add_run_args(p, "uncertainty-report")
     p.add_argument("--load", required=True, help="checkpoint path")
     p.add_argument("--eval-episodes", type=_at_least(1), default=100,
                    help="never-query walks whose visited states are reported")
@@ -177,30 +199,17 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     return argv
 
 
-def _inflation_n1s(text: str) -> tuple[int, ...]:
-    """argparse type of ``--inflation-n1s``: a comma list of integers."""
-    try:
-        return tuple(int(x) for x in text.split(",")) if text else ()
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a comma list of integers, "
-                                         f"got {text!r}") from None
-
-
 def _run_config(args) -> RunConfig:
     """The RunConfig of a run command's flags; building it checks them."""
-    given = vars(args)
-    # uncertainty-report's --eval-episodes counts its walks, not periodic evals
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
-                        if f.name in given and f.name != "eval_episodes"})
+    return RunConfig(**{name: getattr(args, name)
+                        for name in RUN_FIELDS[args.command]})
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     result = run_training(cfg, out_path=args.out)
     if args.save:
-        arrays = dict(result.agent.param_arrays())
-        arrays.update(result.agent.posterior_arrays())
-        arrays.update(result.policy.param_arrays())
-        save_checkpoint(args.save, arrays)
+        save_checkpoint(args.save, {**result.agent.param_arrays(),
+                                    **result.policy.param_arrays()})
     summary = {"method": cfg.method, "teacher": cfg.teacher, "env": cfg.env,
                "seed": cfg.seed,
                "final_query_rate": final_query_rate(result.rows),
@@ -209,25 +218,15 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_agent(cfg: RunConfig, path: str, committee_size: int):
-    env = make_env(cfg.env, cfg.map_path)
-    rng = np.random.default_rng(cfg.seed)
-    agent = PersonaAgent(env.state_dim, env.n_actions, committee_size, rng)
-    arrays = load_checkpoint(path)
-    agent.load_arrays(arrays)
-    agent.load_posterior_arrays(arrays)
-    return env, agent, arrays
-
-
 def cmd_eval(args, cfg: RunConfig) -> int:
-    committee = make_committee(cfg.teacher)
-    env, agent, arrays = _load_agent(cfg, args.load, committee.size)
-    rng = np.random.default_rng(cfg.seed)
-    init_rng, eval_rng = rng.spawn(2)
+    init_rng, eval_rng = np.random.default_rng(cfg.seed).spawn(2)
+    env, committee, agent = training.build_cell(cfg, init_rng)
     policy = training.make_query_policy(cfg, env, init_rng)
+    arrays = load_checkpoint(args.load)
+    agent.load_arrays(arrays)
     policy.load_arrays(arrays)
     unread = (set(arrays) - set(agent.param_arrays())
-              - set(agent.posterior_arrays()) - set(policy.param_arrays()))
+              - set(policy.param_arrays()))
     if unread:
         raise ValueError(f"checkpoint holds arrays that --method {cfg.method} "
                          f"does not read: {', '.join(sorted(unread))}")
@@ -269,14 +268,6 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     jobs = args.jobs or os.cpu_count() or 1
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap:
-        try:
-            jobs = max(1, min(jobs, int(cap)))
-        except ValueError:
-            raise _UsageError(f"{THREADS_ENV_VAR} must be an integer, "
-                              f"got {cap!r}") from None
-
     statuses = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(_sweep_cell, asdict(cell), str(outdir / name)):
@@ -296,7 +287,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     statuses.sort(key=lambda e: (e["method"], e["teacher"], e["seed"]))
     manifest = {
         "version": _describe_version(),
-        "base_config": asdict(replace(cfg, method=methods[0])),
+        "base_config": {name: value for name, value in asdict(cfg).items()
+                        if name not in ("method", "teacher", "seed")},
         "cells": statuses,
     }
     with open(outdir / "manifest.json", "w") as fh:
@@ -359,9 +351,11 @@ def uncertainty_report_rows(agent, env, committee, n_episodes: int,
 
 
 def cmd_uncertainty_report(args, cfg: RunConfig) -> int:
-    committee = make_committee(cfg.teacher)
-    env, agent, _ = _load_agent(cfg, args.load, committee.size)
+    # the walks draw from the seed's root stream; the initial weights the
+    # checkpoint replaces come from a child, which leaves the root unmoved
     rng = np.random.default_rng(cfg.seed)
+    env, committee, agent = training.build_cell(cfg, rng.spawn(1)[0])
+    agent.load_arrays(load_checkpoint(args.load))
     rows = uncertainty_report_rows(agent, env, committee, args.eval_episodes,
                                    cfg.uncertainty, rng)
     write_csv(args.out, UNCERTAINTY_COLUMNS, rows)
@@ -482,7 +476,6 @@ COMMANDS = {
     "report": cmd_report,
     "gradcheck": cmd_gradcheck,
 }
-RUN_COMMANDS = ("train", "eval", "sweep", "uncertainty-report")  # take a cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -491,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        cfg = _run_config(args) if args.command in RUN_COMMANDS else None
+        cfg = _run_config(args) if args.command in RUN_FIELDS else None
     except (_UsageError, OSError, ValueError) as exc:  # JSONDecodeError too
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

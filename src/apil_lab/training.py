@@ -13,6 +13,7 @@ rollouts, and the uncertainty report walks never-query rollouts.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -46,8 +47,9 @@ EVAL_COLUMNS = ("episode", "method", "teacher", "env", "seed", "query_rate",
 @dataclass(frozen=True)
 class RunConfig:
     """One run cell: the one place of its defaults and value rules, all
-    checked when it is built. The sigma/epsilon and n1/n2 rules are those
-    of the ``apil``, ``uncertainty`` and ``inflation`` configs it builds."""
+    checked when it is built. Every count is an integer. The sigma/epsilon
+    rules and the n1/n2 bounds are those of the ``apil``, ``uncertainty``
+    and ``inflation`` configs it builds."""
     env: str = "grid"
     map_path: str | None = None
     teacher: str = "detm"
@@ -76,14 +78,19 @@ class RunConfig:
                                  f"expected one of {choices}")
         if self.map_path is not None and self.env != "maze":
             raise ValueError(f"--map needs --env maze, got --env {self.env}")
+        whole = lambda v: isinstance(v, numbers.Integral)  # numpy's too
         # (field, test, what the test asks); nan fails every test
         for name, test, rule in (
-                *((name, lambda v: v >= 1, "be at least 1") for name in
+                *((name, lambda v: whole(v) and v >= 1,
+                   "be at least 1 and an integer") for name in
                   ("episodes", "probe_rollouts", "eval_episodes")),
-                *((name, lambda v: v >= 0, "be at least 0") for name in
+                *((name, lambda v: whole(v) and v >= 0,
+                   "be at least 0 and an integer") for name in
                   ("seed", "probe_every", "eval_every")),
-                ("inflation_n1s", lambda v: all(n1 >= 1 for n1 in v),
-                 "each be at least 1"),
+                *((name, whole, "be an integer") for name in ("n1", "n2")),
+                ("inflation_n1s", lambda v: all(whole(n1) and n1 >= 1
+                                                for n1 in v),
+                 "each be at least 1 and an integer"),
                 ("lr", lambda v: 0.0 < v < np.inf, "be positive and finite"),
                 ("tau", np.isfinite, "be finite"),
                 ("err_threshold", np.isfinite, "be finite")):
@@ -109,16 +116,23 @@ class EpisodeMetrics:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     rows: list[dict]
     inflation_rows: list[dict]
-    eval_rows: list[dict]
     agent: PersonaAgent
     policy: object
     env: object
     committee: object
     probe_features: list[np.ndarray]
-    d_star: float
+
+
+def build_cell(cfg: RunConfig, init_rng: np.random.Generator):
+    """A cell's env, teacher committee and persona agent, whose initial
+    weights are drawn from ``init_rng``."""
+    env = make_env(cfg.env, cfg.map_path)
+    committee = make_committee(cfg.teacher)
+    agent = PersonaAgent(env.state_dim, env.n_actions, committee.size,
+                         init_rng, lr=cfg.lr)
+    return env, committee, agent
 
 
 def make_query_policy(cfg: RunConfig, env, rng: np.random.Generator):
@@ -261,16 +275,12 @@ def read_csv(path) -> list[dict]:
 
 def run_training(cfg: RunConfig, out_path=None) -> RunResult:
     """Train one cell; optionally write its metrics CSV (plus side CSVs)."""
-    env = make_env(cfg.env, cfg.map_path)
-    committee = make_committee(cfg.teacher)
     root = np.random.default_rng(cfg.seed)
     # eval and the inflation series have their own streams, so turning
     # either on leaves the probes unchanged
     (init_rng, train_rng, probe_rng, dstar_rng, eval_rng,
      inflation_rng) = root.spawn(6)
-
-    agent = PersonaAgent(env.state_dim, env.n_actions, committee.size,
-                         init_rng, lr=cfg.lr)
+    env, committee, agent = build_cell(cfg, init_rng)
     policy = make_query_policy(cfg, env, init_rng)
 
     if env.always_succeeds:
@@ -324,10 +334,9 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
         if eval_rows:
             write_csv(str(out_path) + ".eval.csv", EVAL_COLUMNS, eval_rows)
 
-    return RunResult(config=cfg, rows=rows, inflation_rows=inflation_rows,
-                     eval_rows=eval_rows, agent=agent, policy=policy, env=env,
-                     committee=committee, probe_features=probe_features,
-                     d_star=d_star)
+    return RunResult(rows=rows, inflation_rows=inflation_rows, agent=agent,
+                     policy=policy, env=env, committee=committee,
+                     probe_features=probe_features)
 
 
 def evaluate(agent: PersonaAgent, policy, env, committee, n_episodes: int,

@@ -6,7 +6,8 @@ import pytest
 from helpers import (per_identity_mean_exe_policy, per_row_exe_losses,
                      sample_policy)
 
-from apil_lab.agent import HIDDEN_WIDTH, PERSONA_DIM, PRIOR_PRECISION, PersonaAgent
+from apil_lab.agent import (HEAD_PRECISION_NAME, HIDDEN_WIDTH, PERSONA_DIM,
+                            PRIOR_PRECISION, PersonaAgent)
 from apil_lab.envs import EnvState, GridPos, make_env
 from apil_lab.nncore import softmax
 from apil_lab.query import NeverQueryPolicy
@@ -15,7 +16,7 @@ from apil_lab.training import RunConfig, run_episode, run_training
 
 EXPECTED_PARAMS = {"exe.hidden.W", "exe.hidden.b", "exe.out.W", "exe.out.b",
                    "exe.persona", "id.hidden.W", "id.hidden.b", "id.out.W",
-                   "id.out.b"}
+                   "id.out.b", "exe.out.precision"}
 
 
 @pytest.fixture(scope="module")
@@ -240,10 +241,30 @@ def test_end_episode_update_applies_accumulated_losses():
 
 def test_checkpoint_arrays_round_trip():
     agent = _fresh(seed=1)
+    features = np.zeros(25)
+    features[7] = 0.5
+    agent.exe_losses(features[None], [TeacherResponse(0, 0, 3.0)])
+    agent.end_episode_update()  # the head precision leaves the prior too
     other = _fresh(seed=2)
+    assert not np.array_equal(other.head_precision, agent.head_precision)
     other.load_arrays(agent.param_arrays())
     for name, value in agent.param_arrays().items():
         assert np.array_equal(other.param_arrays()[name], value)
+
+
+@pytest.mark.parametrize("precision,message", [
+    (None, "has no posterior precision"), (np.ones((2, 3)), "shape mismatch"),
+    (np.zeros((2, HIDDEN_WIDTH)), "must be positive"),
+])
+def test_load_arrays_checks_the_head_precision(precision, message):
+    arrays = _fresh(seed=1).param_arrays()
+    if precision is None:
+        del arrays[HEAD_PRECISION_NAME]
+    else:
+        arrays[HEAD_PRECISION_NAME] = precision
+    with pytest.raises(ValueError, match=message) as err:
+        _fresh(seed=2).load_arrays(arrays)
+    assert HEAD_PRECISION_NAME in str(err.value)
 
 
 def test_trained_bc_detm_masters_the_teacher_path(bc_detm_run):

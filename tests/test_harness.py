@@ -1,5 +1,6 @@
 """CLI and reporting tests for the harness."""
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -91,15 +92,6 @@ def test_counts_that_are_not_run_values_keep_their_rule(
     assert list(tmp_path.iterdir()) == ([config] if from_config else [])
 
 
-def test_bad_thread_cap_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("APIL_LAB_THREADS", "abc")
-    outdir = tmp_path / "sweep"
-    assert main(["sweep", *FAST, "--methods", "never", "--teachers", "detm",
-                 "--seeds", "0", "--outdir", str(outdir)]) == EXIT_USAGE
-    assert "APIL_LAB_THREADS" in capsys.readouterr().err
-    assert not (outdir / "manifest.json").exists()
-
-
 def test_config_file_defaults_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"episodes": 3, "teacher": "rand"}))
@@ -116,6 +108,57 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
                  "--episodes", "2", "--out", str(out2)]) == EXIT_OK
     assert len(read_csv(out2)) == 2  # explicit flag beats the config file
     capsys.readouterr()
+
+
+REMOVED_FLAGS = [("eval", flag) for flag in (
+    "--lr", "--sigma", "--epsilon", "--probe-every", "--probe-rollouts")] + [
+    ("uncertainty-report", flag) for flag in (
+        "--episodes", "--lr", "--sigma", "--epsilon", "--tau",
+        "--err-threshold", "--probe-every", "--probe-rollouts")] + [
+    ("sweep", "--teacher"), ("sweep", "--seed")]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_a_flag_the_command_does_not_read_exits_1(command, flag, tmp_path,
+                                                   capsys):
+    """Each run command takes only the run values it reads: any other run
+    flag is unknown to it, refused before any work."""
+    _, ckpt = _train(tmp_path / "run")
+    capsys.readouterr()
+    value = {"--teacher": "rand", "--lr": "0.01", "--sigma": "3.0",
+             "--epsilon": "0.5", "--tau": "0.1",
+             "--err-threshold": "0.1"}.get(flag, "3")
+    required = {"eval": ["--load", str(ckpt)],
+                "uncertainty-report": ["--load", str(ckpt),
+                                       "--out", str(tmp_path / "u.csv")],
+                "sweep": ["--methods", "never", "--teachers", "detm",
+                          "--seeds", "0", "--outdir", str(tmp_path / "s")]}
+    assert main([command, flag, value, *required[command]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+@pytest.mark.parametrize("command", ["eval", "uncertainty-report"])
+def test_a_config_file_of_train_values_serves_every_run_command(
+        command, tmp_path, capsys):
+    """Keys the command does not read (``sigma``, ``probe_every``, ``lr``)
+    are left to the commands that do: its run is the one without the file."""
+    _, ckpt = _train(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sigma": 3.0, "probe_every": 0, "lr": 0.01,
+                                  "teacher": "detm"}))
+    results = []
+    for name, pre in (("with", ["--config", str(config)]), ("without", [])):
+        out = tmp_path / f"{name}.csv"
+        own = (["--episodes", "2"] if command == "eval" else
+               ["--eval-episodes", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert main([*pre, command, "--load", str(ckpt), *own]) == EXIT_OK
+        results.append(out.read_bytes() if out.exists()
+                       else capsys.readouterr().out)
+    assert results[0] == results[1]
 
 
 def test_config_file_failure_modes(tmp_path, capsys):
@@ -152,8 +195,7 @@ def test_eval_loads_a_checkpoint(tmp_path, capsys):
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
 
 
-def test_sweep_manifest_and_outputs(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("APIL_LAB_THREADS", "1")
+def test_sweep_manifest_and_outputs(tmp_path, capsys):
     outdir = tmp_path / "sweep"
     code = main(["sweep", *FAST, "--methods", "never", "--teachers",
                  "detm,rand", "--seeds", "0", "--outdir", str(outdir),
@@ -163,7 +205,10 @@ def test_sweep_manifest_and_outputs(tmp_path, monkeypatch, capsys):
     assert (outdir / "never_rand_s0.csv").exists()
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert set(manifest) == {"version", "base_config", "cells"}
-    assert manifest["base_config"]["method"] == "never"
+    # the shared values only: each cell names its method, teacher and seed
+    assert set(manifest["base_config"]) == (set(asdict(RunConfig()))
+                                            - {"method", "teacher", "seed"})
+    assert manifest["base_config"]["episodes"] == 2
     keys = [(c["method"], c["teacher"], c["seed"]) for c in manifest["cells"]]
     assert keys == sorted(keys)
     assert all(c["status"] == "ok" for c in manifest["cells"])
@@ -198,21 +243,20 @@ def test_sweep_rejects_bad_values_before_any_work(flags, message, tmp_path,
 def test_map_without_the_maze_env_exits_1(command, tmp_path, capsys):
     """``--map`` only means something for the maze: with ``--env grid`` it
     is a usage error, raised before any work, so nothing is written."""
-    outputs = {"train": ["--out", str(tmp_path / "m.csv"),
+    outputs = {"train": [*FAST, "--out", str(tmp_path / "m.csv"),
                          "--save", str(tmp_path / "a.ckpt")],
                "eval": ["--load", str(tmp_path / "a.ckpt")],
-               "sweep": ["--outdir", str(tmp_path / "s")],
+               "sweep": [*FAST, "--outdir", str(tmp_path / "s")],
                "uncertainty-report": ["--load", str(tmp_path / "a.ckpt"),
                                       "--out", str(tmp_path / "u.csv")]}
-    code = main([command, *FAST, "--env", "grid",
+    code = main([command, "--env", "grid",
                  "--map", str(tmp_path / "nonexistent"), *outputs[command]])
     assert code == EXIT_USAGE
     assert "--map needs --env maze" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_records_failed_cells(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("APIL_LAB_THREADS", "1")
+def test_sweep_records_failed_cells(tmp_path, capsys):
     outdir = tmp_path / "sweep"
     code = main(["sweep", *FAST, "--env", "maze", "--map",
                  str(tmp_path / "missing_map.txt"), "--methods", "never",

@@ -64,8 +64,7 @@ def test_same_seed_runs_are_identical():
 
 
 def _checkpoint_arrays(result):
-    return {**result.agent.param_arrays(), **result.agent.posterior_arrays(),
-            **result.policy.param_arrays()}
+    return {**result.agent.param_arrays(), **result.policy.param_arrays()}
 
 
 @pytest.mark.parametrize("method,env,teacher,episodes", [
@@ -180,11 +179,19 @@ def test_config_validation():
     ("n1", 0), ("n2", 0), ("lr", math.nan), ("lr", 0.0), ("sigma", 0.5),
     ("sigma", math.nan), ("epsilon", -1.0), ("tau", math.nan), ("episodes", 0),
     ("inflation_n1s", (5, 0)), ("seed", -1), ("map_path", "map.txt"),
-    ("env", "bogus"),
+    ("env", "bogus"), ("n1", 2.5), ("n2", 4.0), ("episodes", 2.0),
+    ("seed", 1.5), ("probe_every", 5.0), ("eval_episodes", math.nan),
+    ("inflation_n1s", (5.0, 50.0)),
 ])
 def test_config_rejects_each_bad_value(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
         RunConfig(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = RunConfig(episodes=np.int64(3), n1=np.int32(4),
+                    inflation_n1s=(np.int64(5),))
+    assert (cfg.episodes, cfg.uncertainty.n1, cfg.inflation[0].n1) == (3, 4, 5)
 
 
 def test_config_builds_its_policy_and_estimate_configs():
@@ -218,16 +225,19 @@ def run_values(draw):
 
 
 def _breaks_a_rule(v) -> bool:
-    """The run rules, stated apart from RunConfig; nan fails each."""
+    """The run rules, stated apart from RunConfig; nan fails each. Every
+    count is an integer (a float such as 2.0 is not) and has a lower bound."""
     at_least = {"episodes": 1, "n1": 1, "n2": 1, "probe_rollouts": 1,
                 "eval_episodes": 1, "seed": 0, "probe_every": 0,
                 "eval_every": 0}
+    integer = lambda x: isinstance(x, (int, np.integer))
     return (v["env"] not in ("grid", "maze")
             or v["teacher"] not in TEACHER_MODELS
             or v["method"] not in METHODS
             or (v["map_path"] is not None and v["env"] != "maze")
-            or not all(v[name] >= low for name, low in at_least.items())
-            or not all(n1 >= 1 for n1 in v["inflation_n1s"])
+            or not all(integer(v[name]) and v[name] >= low
+                       for name, low in at_least.items())
+            or not all(integer(n1) and n1 >= 1 for n1 in v["inflation_n1s"])
             or not 0.0 < v["lr"] < math.inf
             or not 1.0 < v["sigma"] < math.inf
             or not 0.0 <= v["epsilon"] < math.inf
