@@ -20,19 +20,22 @@ its drawn identities in one forward, and ``exe_losses`` trains on an
 episode's queried steps as one ``(T, in)`` pass, so the head precision and
 the weights change together at episode end.
 
-One-state forwards at the mean weights (``identity_probs``, and
-``policy_probs`` without a draw) are kept in a table keyed by the state's
-bytes and the exact identity vector, since a ``(1, dim)`` matmul may round
-apart from a ``(K, dim)`` one. The table is dropped when either net's
-``ParamSet.version`` moves. Weights change only through ``update`` and
-``load_arrays``; a direct write to a ``Param.value`` is outside that
-contract. The table's arrays are shared, so they are read-only.
+The agent keeps a forward table of what one state's steps read at the mean
+weights: rho (``identity_probs``), rho's cdf, the policy rows of an exact
+identity vector (``policy_probs`` without a draw), and the mean policy of
+each vector of draw counts (``mean_exe_policy``). Keys hold the state's
+bytes, since a ``(1, dim)`` matmul may round apart from a ``(K, dim)`` one.
+Its one invariant: every entry is read through ``_entry``, which drops the
+table when either net's ``ParamSet.version`` moves. Weights change only
+through ``update`` and ``load_arrays``; a direct write to a ``Param.value``
+is outside that contract. The table's arrays are shared, so they are
+read-only.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .nncore import MLP, categorical, softmax, softmax_nll
+from .nncore import MLP, categorical_cdf, draw, softmax, softmax_nll
 from .teachers import TeacherResponse
 
 HIDDEN_WIDTH = 100
@@ -66,25 +69,25 @@ class PersonaAgent:
 
     # ---------------------------------------------------------------- forward
 
-    def _memo(self, key, forward) -> np.ndarray:
-        """Softmax of the logits ``forward()`` gives, once per ``key`` at the
-        current weights."""
+    def _entry(self, key, build) -> np.ndarray:
+        """The table's read-only ``build()`` under ``key``, built once at the
+        current weights. Every entry is read here."""
         version = (self.exe_net.params.version, self.id_net.params.version)
         if version != self._table_version:
             self._table, self._table_version = {}, version
-        probs = self._table.get(key)
-        if probs is None:
-            probs = self._table[key] = softmax(forward()[0])
-            probs.flags.writeable = False
-        return probs
+        entry = self._table.get(key)
+        if entry is None:
+            entry = self._table[key] = build()
+            entry.flags.writeable = False
+        return entry
 
     def identity_probs(self, features: np.ndarray) -> np.ndarray:
         """rho(k|s) at one state ``(K,)``, or at each state of a stack ``(S,
         K)``. Each state is a ``(1, in)`` row of its own, so it gets the bits
         of its one-state call (one matmul over the stack may round apart)."""
         if features.ndim == 1:
-            return self._memo(features.tobytes(),
-                              lambda: self.id_net.forward(features))
+            return self._entry(features.tobytes(), lambda: softmax(
+                self.id_net.forward(features)[0]))
         logits, _ = self.id_net.forward(features[:, None, :])
         return softmax(logits[:, 0])
 
@@ -113,8 +116,9 @@ class PersonaAgent:
         """
         if draw is None and features.ndim == 1:
             ids = np.asarray(identity)
-            return self._memo((features.tobytes(), ids.shape, ids.tobytes()),
-                              lambda: self.exe_net.forward(features, identity))
+            return self._entry((features.tobytes(), ids.shape, ids.tobytes()),
+                               lambda: softmax(self.exe_net.forward(
+                                   features, identity)[0]))
         if draw is None:
             logits, _ = self.exe_net.forward(features, identity)
         else:
@@ -128,16 +132,22 @@ class PersonaAgent:
                         rng: np.random.Generator) -> np.ndarray:
         """Arithmetic mean of ``n`` sampled policies (no posterior sampling).
 
-        The identities drawn are evaluated in one forward and mixed by their
-        draw counts.
+        The ``n`` identities are drawn from rho's table cdf; the mean of each
+        vector of their counts is kept in the table, so a state's repeat draw
+        reads it. Its drawn identities are evaluated in one forward and mixed
+        by their draw counts.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        rho = self.identity_probs(features)
-        counts = np.bincount(categorical(rho, rng, n),
-                             minlength=self.n_teachers)
-        drawn = np.flatnonzero(counts)
-        return (counts[drawn] / n) @ self.policy_probs(features, drawn)
+        state = features.tobytes()
+        cdf = self._entry(("cdf", state), lambda: categorical_cdf(
+            self.identity_probs(features)))
+        counts = np.bincount(draw(cdf, rng, n), minlength=self.n_teachers)
+
+        def mean():
+            drawn = np.flatnonzero(counts)
+            return (counts[drawn] / n) @ self.policy_probs(features, drawn)
+        return self._entry(("mean", state, counts.tobytes()), mean)
 
     # --------------------------------------------------------------- training
 

@@ -192,6 +192,8 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
             if action.choices is not None and value not in action.choices:
                 raise _UsageError(f"config field {key!r} must be one of "
                                   f"{list(action.choices)}, got {value!r}")
+            if isinstance(value, list):  # a comma-list flag's text form
+                value = ",".join(map(str, value))
             # a typed flag's default goes in as text, so argparse converts
             # and checks it like a value given on the command line
             defaults[key] = str(value) if action.type is not None else value

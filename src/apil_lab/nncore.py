@@ -13,6 +13,9 @@ Rows are batched: a layer, the MLP and ``softmax_nll`` take one row or a
 stack ``(B, ...)`` of rows through the same code, and a backward pass sums
 its rows' gradients. A stack's float sums may differ from a loop over its
 rows in the last bits (a GEMM in place of B GEMVs).
+
+``draw`` is the one sampler. It takes a cdf that ``categorical_cdf`` built
+and checked, so a caller that keeps a cdf draws from it without a re-check.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import numpy as np
 CHECKPOINT_MAGIC = b"APILCKPT"
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CDF_SUM_TOLERANCE = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's
 
 
 class Param:
@@ -292,8 +296,7 @@ def categorical_cdf(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probabilities must be a non-empty 1-d vector")
-    if not (p.min() >= 0.0
-            and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(np.float64).eps)):
+    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= CDF_SUM_TOLERANCE):
         if not np.isfinite(p).all():
             raise ValueError("probabilities must be finite")
         if (p < 0.0).any():
@@ -304,10 +307,11 @@ def categorical_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def categorical(p: np.ndarray, rng: np.random.Generator, size=None):
-    """Indices drawn from ``p``: the numbers ``rng.choice(len(p), size, p=p)``
-    gives, leaving ``rng`` where ``choice`` leaves it (one uniform per index)."""
-    return categorical_cdf(p).searchsorted(rng.random(size), side="right")
+def draw(cdf: np.ndarray, rng: np.random.Generator, size=None):
+    """Indices drawn from the distribution whose ``categorical_cdf`` is
+    ``cdf``: the numbers ``rng.choice(len(p), size, p=p)`` gives, leaving
+    ``rng`` where ``choice`` leaves it (one uniform per index)."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def softmax_nll(logits: np.ndarray, target):

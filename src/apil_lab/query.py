@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nncore import MLP, categorical, softmax, softmax_nll
+from .nncore import MLP, categorical_cdf, draw, softmax, softmax_nll
 from .teachers import TeacherResponse
 
 ASK_CONTINUE = 0
@@ -259,7 +259,7 @@ class HindsightQueryPolicy(QueryPolicyBase):
     def decide(self, ctx: DecisionContext) -> int:
         probs = self.net.forward(ctx.features, ctx.mean_policy(), ctx.remaining)
         if ctx.train:
-            return int(categorical(probs, ctx.rng))
+            return int(draw(categorical_cdf(probs), ctx.rng))
         return int(np.argmax(probs))
 
     def end_episode(self, traj: Trajectory) -> float | None:

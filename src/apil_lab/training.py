@@ -22,7 +22,7 @@ import numpy as np
 
 from .agent import PersonaAgent
 from .envs import ENVS, make_env
-from .nncore import categorical
+from .nncore import categorical_cdf, draw
 from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                     HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
@@ -193,7 +193,7 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
         elif greedy:
             action = int(np.argmax(get_mean()))
         else:
-            action = int(categorical(get_mean(), rng))
+            action = int(draw(categorical_cdf(get_mean()), rng))
         steps.append(StepRecord(features=features, exe_action=action,
                                 ask_action=ask, mean_policy=mean_policy,
                                 remaining=remaining, state=state,
@@ -283,13 +283,12 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
     env, committee, agent = build_cell(cfg, init_rng)
     policy = make_query_policy(cfg, env, init_rng)
 
-    if env.always_succeeds:
-        d_star = 0.0
-    else:
-        d_star = estimate_teacher_final_distance(committee, env,
-                                                 cfg.d_star_rollouts, dstar_rng)
-    if isinstance(policy, HindsightQueryPolicy):
-        policy.cfg = replace(policy.cfg, teacher_final_distance=d_star)
+    # d* is read only by the hindsight labeller, and is 0 where teachers
+    # always succeed; it has its own stream, so skipping it moves nothing
+    if isinstance(policy, HindsightQueryPolicy) and not env.always_succeeds:
+        policy.cfg = replace(policy.cfg, teacher_final_distance=(
+            estimate_teacher_final_distance(committee, env,
+                                            cfg.d_star_rollouts, dstar_rng)))
 
     probe_features = probe_trajectory_features(env, committee, probe_rng,
                                                cfg.probe_rollouts)

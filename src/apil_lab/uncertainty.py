@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import categorical
+from .nncore import categorical_cdf, draw
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _draws(agent, rho: np.ndarray, cfg: UncertaintyConfig,
     written into one stack each as they come, so no second copy is held."""
     if rho.ndim == 1:
         return (agent.posterior_draw(rng, cfg.n2),
-                categorical(rho, rng, (cfg.n2, cfg.n1)))
+                draw(categorical_cdf(rho), rng, (cfg.n2, cfg.n1)))
     stacks = None
     for s, rho_s in enumerate(rho):
         pair = _draws(agent, rho_s, cfg, rng)

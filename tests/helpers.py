@@ -10,7 +10,7 @@ import numpy as np
 from apil_lab import training
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import GridPos
-from apil_lab.nncore import categorical, softmax, softmax_nll
+from apil_lab.nncore import categorical_cdf, draw, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
                             StepRecord, Trajectory, query_imitation_loss)
 from apil_lab.teachers import TeacherKind
@@ -56,9 +56,9 @@ def sample_policy(agent, features, rng, posterior_sampling=False):
     A fresh posterior draw is taken iff ``posterior_sampling`` is set.
     """
     rho = agent.identity_probs(features)
-    k = int(categorical(rho, rng))
-    draw = agent.posterior_draw(rng, 1)[0] if posterior_sampling else None
-    return k, agent.policy_probs(features, k, draw)
+    k = int(draw(categorical_cdf(rho), rng))
+    head = agent.posterior_draw(rng, 1)[0] if posterior_sampling else None
+    return k, agent.policy_probs(features, k, head)
 
 
 def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
@@ -103,7 +103,8 @@ def per_identity_mean_exe_policy(agent, features, n, rng):
     """Loop oracle for ``agent.mean_exe_policy``: one forward per identity
     drawn, accumulated in ascending identity order."""
     rho = agent.identity_probs(features)
-    counts = np.bincount(categorical(rho, rng, n), minlength=agent.n_teachers)
+    counts = np.bincount(draw(categorical_cdf(rho), rng, n),
+                         minlength=agent.n_teachers)
     mean = np.zeros(agent.n_actions)
     for k in np.flatnonzero(counts):
         mean += (counts[k] / n) * agent.policy_probs(features, int(k))
@@ -111,20 +112,12 @@ def per_identity_mean_exe_policy(agent, features, n, rng):
 
 
 class UnmemoizedAgent(PersonaAgent):
-    """Oracle of the agent's forward table: a ``PersonaAgent`` that runs every
-    one-state forward afresh, as the agent did before it kept the table."""
+    """Oracle of the agent's forward table: a ``PersonaAgent`` that builds
+    every entry (rho, its cdf, the policy rows and the mean policy) afresh
+    at each read, as the agent did before it kept the table."""
 
-    def identity_probs(self, features):
-        if features.ndim > 1:
-            return super().identity_probs(features)
-        logits, _ = self.id_net.forward(features)
-        return softmax(logits)
-
-    def policy_probs(self, features, identity, draw=None):
-        if draw is not None or features.ndim > 1:
-            return super().policy_probs(features, identity, draw)
-        logits, _ = self.exe_net.forward(features, identity)
-        return softmax(logits)
+    def _entry(self, key, build):
+        return build()
 
 
 def per_row_exe_losses(agent, features, responses):

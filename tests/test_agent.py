@@ -9,7 +9,7 @@ from helpers import (per_identity_mean_exe_policy, per_row_exe_losses,
 from apil_lab.agent import (HEAD_PRECISION_NAME, HIDDEN_WIDTH, PERSONA_DIM,
                             PRIOR_PRECISION, PersonaAgent)
 from apil_lab.envs import EnvState, GridPos, make_env
-from apil_lab.nncore import softmax
+from apil_lab.nncore import categorical_cdf, draw, softmax
 from apil_lab.query import NeverQueryPolicy
 from apil_lab.teachers import TeacherResponse, make_committee
 from apil_lab.training import RunConfig, run_episode, run_training
@@ -108,16 +108,43 @@ def test_mean_policy_equals_the_per_identity_loop():
         assert ours.random() == theirs.random()
 
 
+def test_mean_policy_is_one_entry_per_state_and_draw_counts():
+    agent = _fresh(n_teachers=3)
+    features = np.random.default_rng(2).normal(size=25)
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    first = agent.mean_exe_policy(features, 5, ours)
+    want = per_identity_mean_exe_policy(agent, features, 5, theirs)
+    assert np.abs(first - want).max() <= 1e-12 * np.abs(want).max()
+    assert not first.flags.writeable
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    assert agent.mean_exe_policy(features, 5, ours) is first  # same counts
+    per_identity_mean_exe_policy(agent, features, 5, theirs)
+    assert ours.random() == theirs.random()
+    means = {id(agent.mean_exe_policy(features, 5, np.random.default_rng(s)))
+             for s in range(20)}
+    assert len(means) > 1  # other counts are other entries
+
+
 def _one_state_outputs(agent, features, identities):
+    """rho, the policy rows of ``identities``, rho's cdf and a mean policy:
+    each one of the agent's forward-table entries."""
+    mean = agent.mean_exe_policy(features, 5, np.random.default_rng(0))
     return (agent.identity_probs(features),
-            agent.policy_probs(features, identities))
+            agent.policy_probs(features, identities),
+            agent._table[("cdf", features.tobytes())], mean)
 
 
 def _assert_direct_forwards(agent, features, identities):
-    rho, probs = _one_state_outputs(agent, features, identities)
-    assert np.array_equal(rho, softmax(agent.id_net.forward(features)[0]))
+    rho, probs, cdf, mean = _one_state_outputs(agent, features, identities)
+    direct_rho = softmax(agent.id_net.forward(features)[0])
+    assert np.array_equal(rho, direct_rho)
+    assert np.array_equal(cdf, categorical_cdf(direct_rho))
     assert np.array_equal(
         probs, softmax(agent.exe_net.forward(features, identities)[0]))
+    counts = np.bincount(draw(cdf, np.random.default_rng(0), 5), minlength=2)
+    drawn = np.flatnonzero(counts)
+    assert np.array_equal(mean, (counts[drawn] / 5) @ softmax(
+        agent.exe_net.forward(features, drawn)[0]))
 
 
 @pytest.mark.parametrize("identities", [0, np.array([1]), np.array([0, 1])])

@@ -110,6 +110,21 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_config_list_is_the_comma_list_flag_text(tmp_path, capsys):
+    outs = []
+    for form in ([5, 50], "5,50"):
+        cfg = tmp_path / f"{type(form).__name__}.json"
+        cfg.write_text(json.dumps({"inflation_n1s": form}))
+        outs.append(tmp_path / f"{type(form).__name__}.csv")
+        assert main(["--config", str(cfg), "train", "--episodes", "3",
+                     "--probe-every", "1", "--out", str(outs[-1])]) == EXIT_OK
+    capsys.readouterr()
+    for suffix in ("", ".inflation.csv"):
+        listed, text = (Path(str(out) + suffix).read_bytes() for out in outs)
+        assert listed == text
+    assert b",50," in Path(str(outs[0]) + ".inflation.csv").read_bytes()
+
+
 REMOVED_FLAGS = [("eval", flag) for flag in (
     "--lr", "--sigma", "--epsilon", "--probe-every", "--probe-rollouts")] + [
     ("uncertainty-report", flag) for flag in (

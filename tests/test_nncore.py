@@ -6,8 +6,9 @@ import pytest
 from helpers import PerParamAdam
 
 from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
-                             DropoutSpec, Embedding, ParamSet, categorical,
-                             init_weight, load_checkpoint,
+                             DropoutSpec, Embedding, ParamSet,
+                             categorical_cdf, draw, init_weight,
+                             load_checkpoint,
                              sample_dropout_mask, save_checkpoint, softmax,
                              softmax_nll)
 
@@ -80,20 +81,24 @@ def test_softmax_of_a_stack_equals_its_rows():
 
 
 def test_categorical_matches_generator_choice():
-    """Same indices as ``rng.choice(len(p), size, p=p)``, same stream position."""
+    """A draw from ``categorical_cdf(p)`` gives the indices of ``rng.choice(
+    len(p), size, p=p)`` and leaves the stream where it does, also when one
+    kept cdf is drawn from again."""
     rng = np.random.default_rng(0)
     for trial in range(50):
         p = rng.random(int(rng.integers(1, 7)))
         p[rng.random(p.size) < 0.3] = 0.0
         p[0] += 1e-3  # keep one entry positive
         p /= p.sum()
+        cdf = categorical_cdf(p)
         for size in (None, 1, 5, 50, (2, 3)):
             ours = np.random.default_rng(trial)
             theirs = np.random.default_rng(trial)
-            got = categorical(p, ours, size)
-            want = theirs.choice(p.size, size=size, p=p)
-            assert np.array_equal(got, want)
-            assert np.shape(got) == np.shape(want)
+            for _ in range(2):
+                got = draw(cdf, ours, size)
+                want = theirs.choice(p.size, size=size, p=p)
+                assert np.array_equal(got, want)
+                assert np.shape(got) == np.shape(want)
             assert ours.random() == theirs.random()
 
 
@@ -102,10 +107,10 @@ def test_categorical_rejects_what_choice_rejects():
     for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.5, -0.5], [0.5, 0.4],
                 [0.6, 0.6], [], [[0.5, 0.5]]):
         with pytest.raises(ValueError):
-            categorical(np.array(bad), rng)
+            categorical_cdf(np.array(bad))
         with pytest.raises(ValueError):
             rng.choice(2, p=np.array(bad))
-    categorical(np.array([0.5, 0.5 + 1e-9]), rng)  # within sqrt(eps) of 1
+    categorical_cdf(np.array([0.5, 0.5 + 1e-9]))  # within sqrt(eps) of 1
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -116,7 +121,7 @@ def test_categorical_rejects_what_choice_rejects():
 ])
 def test_categorical_rejection_messages(bad, message):
     with pytest.raises(ValueError, match=message):
-        categorical(np.array(bad), np.random.default_rng(0))
+        categorical_cdf(np.array(bad))
 
 
 def test_softmax_nll_uniform_case():

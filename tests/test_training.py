@@ -68,16 +68,19 @@ def _checkpoint_arrays(result):
 
 
 @pytest.mark.parametrize("method,env,teacher,episodes", [
-    ("apil", "grid", "twodifdetm", 200), ("errpred", "maze", "tworand", 60)])
+    ("apil", "grid", "twodifdetm", 200), ("errpred", "maze", "tworand", 60),
+    ("dagger", "maze", "tworand", 60)])
 def test_forward_table_changes_no_output(method, env, teacher, episodes,
                                          tmp_path, monkeypatch):
     """A run with the agent's forward table writes the bytes and trains the
-    arrays of a run that recomputes every forward."""
+    arrays of a run that builds every table entry afresh."""
     cfg = RunConfig(method=method, env=env, teacher=teacher,
                     episodes=episodes, seed=3, probe_every=20)
     memo = run_training(cfg, out_path=tmp_path / "memo.csv")
-    # episodes without a query keep the weights, so the table is reused
-    assert any(row["query_rate"] == 0.0 for row in memo.rows)
+    # episodes without a query keep the weights, so the table is reused;
+    # dagger queries every step, so its table is dropped every episode
+    assert (any(row["query_rate"] == 0.0 for row in memo.rows)
+            == (method != "dagger"))
     monkeypatch.setattr(training, "PersonaAgent", UnmemoizedAgent)
     fresh = run_training(cfg, out_path=tmp_path / "fresh.csv")
     assert type(fresh.agent) is UnmemoizedAgent
@@ -87,6 +90,21 @@ def test_forward_table_changes_no_output(method, env, teacher, episodes,
     assert got.keys() == want.keys()
     for name in want:
         assert np.array_equal(got[name], want[name]), name
+
+
+def test_d_star_is_rolled_out_only_for_a_hindsight_policy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("d* rolled out for a method that never reads it")
+
+    monkeypatch.setattr(training, "estimate_teacher_final_distance", refuse)
+    run_training(RunConfig(method="dagger", env="maze", teacher="tworand",
+                           episodes=2, probe_every=0))
+    monkeypatch.setattr(training, "estimate_teacher_final_distance",
+                        lambda *args: 1.25)
+    result = run_training(RunConfig(method="apil", env="maze",
+                                    teacher="tworand", episodes=2,
+                                    probe_every=0))
+    assert result.policy.cfg.teacher_final_distance == 1.25
 
 
 def test_untrained_apil_queries_about_half_the_time():
