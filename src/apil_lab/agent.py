@@ -22,8 +22,9 @@ the weights change together at episode end.
 
 The agent keeps a forward table of what one state's steps read at the mean
 weights: rho (``identity_probs``), rho's cdf, the policy rows of an exact
-identity vector (``policy_probs`` without a draw), and the mean policy of
-each vector of draw counts (``mean_exe_policy``). Keys hold the state's
+identity vector (``policy_probs`` without a draw), the mean policy of each
+vector of draw counts (``mean_exe_policy``) and that mean's cdf
+(``mean_policy_cdf``). Keys hold the state's
 bytes, since a ``(1, dim)`` matmul may round apart from a ``(K, dim)`` one.
 Its one invariant: every entry is read through ``_entry``, which drops the
 table when either net's ``ParamSet.version`` moves. Weights change only
@@ -148,6 +149,12 @@ class PersonaAgent:
             drawn = np.flatnonzero(counts)
             return (counts[drawn] / n) @ self.policy_probs(features, drawn)
         return self._entry(("mean", state, counts.tobytes()), mean)
+
+    def mean_policy_cdf(self, mean: np.ndarray) -> np.ndarray:
+        """The table's cdf of a mean policy that ``mean_exe_policy`` gave,
+        which the step's action is drawn from."""
+        return self._entry(("mean cdf", mean.tobytes()),
+                           lambda: categorical_cdf(mean))
 
     # --------------------------------------------------------------- training
 

@@ -197,6 +197,10 @@ class Embedding:
         return self.table.value.shape[0]
 
     def forward(self, index) -> np.ndarray:
+        if type(index) is int:  # one step's index: no array reductions
+            if not 0 <= index < self.rows:
+                raise IndexError(f"embedding index {index} out of range")
+            return self.table.value[index]
         index = np.asarray(index)
         if index.min() < 0 or index.max() >= self.rows:
             raise IndexError(f"embedding index {index} out of range")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .agent import PersonaAgent
 from .envs import ENVS, make_env
-from .nncore import categorical_cdf, draw
+from .nncore import draw
 from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                     HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
@@ -193,7 +193,7 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
         elif greedy:
             action = int(np.argmax(get_mean()))
         else:
-            action = int(draw(categorical_cdf(get_mean()), rng))
+            action = int(draw(agent.mean_policy_cdf(get_mean()), rng))
         steps.append(StepRecord(features=features, exe_action=action,
                                 ask_action=ask, mean_policy=mean_policy,
                                 remaining=remaining, state=state,

@@ -126,16 +126,18 @@ def test_mean_policy_is_one_entry_per_state_and_draw_counts():
 
 
 def _one_state_outputs(agent, features, identities):
-    """rho, the policy rows of ``identities``, rho's cdf and a mean policy:
-    each one of the agent's forward-table entries."""
+    """rho, the policy rows of ``identities``, rho's cdf, a mean policy and
+    its cdf: each one of the agent's forward-table entries."""
     mean = agent.mean_exe_policy(features, 5, np.random.default_rng(0))
     return (agent.identity_probs(features),
             agent.policy_probs(features, identities),
-            agent._table[("cdf", features.tobytes())], mean)
+            agent._table[("cdf", features.tobytes())], mean,
+            agent.mean_policy_cdf(mean))
 
 
 def _assert_direct_forwards(agent, features, identities):
-    rho, probs, cdf, mean = _one_state_outputs(agent, features, identities)
+    rho, probs, cdf, mean, mean_cdf = _one_state_outputs(agent, features,
+                                                         identities)
     direct_rho = softmax(agent.id_net.forward(features)[0])
     assert np.array_equal(rho, direct_rho)
     assert np.array_equal(cdf, categorical_cdf(direct_rho))
@@ -145,6 +147,7 @@ def _assert_direct_forwards(agent, features, identities):
     drawn = np.flatnonzero(counts)
     assert np.array_equal(mean, (counts[drawn] / 5) @ softmax(
         agent.exe_net.forward(features, drawn)[0]))
+    assert np.array_equal(mean_cdf, categorical_cdf(mean))
 
 
 @pytest.mark.parametrize("identities", [0, np.array([1]), np.array([0, 1])])

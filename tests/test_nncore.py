@@ -256,6 +256,8 @@ def test_embedding_lookup_and_row_sparse_gradient():
     assert np.array_equal(table.table.grad[1], [1.0, 1.0])
     with pytest.raises(IndexError):
         table.forward(3)
+    with pytest.raises(IndexError):
+        table.forward(-1)
 
 
 def test_repeated_index_rows_accumulate_every_gradient():

@@ -73,19 +73,39 @@ def _checkpoint_arrays(result):
 def test_forward_table_changes_no_output(method, env, teacher, episodes,
                                          tmp_path, monkeypatch):
     """A run with the agent's forward table writes the bytes and trains the
-    arrays of a run that builds every table entry afresh."""
+    arrays of a run that builds every table entry afresh, and each of its
+    steps reads the same mean policy and mean-policy cdf."""
     cfg = RunConfig(method=method, env=env, teacher=teacher,
                     episodes=episodes, seed=3, probe_every=20)
+    original = training.rollout
+
+    def recording(seen):
+        def rollout(agent, *args, **kwargs):
+            traj = original(agent, *args, **kwargs)
+            seen.extend((step.mean_policy.copy(),
+                         agent.mean_policy_cdf(step.mean_policy).copy())
+                        for step in traj.steps
+                        if step.mean_policy is not None)
+            return traj
+        return rollout
+
+    memo_steps, fresh_steps = [], []
+    monkeypatch.setattr(training, "rollout", recording(memo_steps))
     memo = run_training(cfg, out_path=tmp_path / "memo.csv")
     # episodes without a query keep the weights, so the table is reused;
     # dagger queries every step, so its table is dropped every episode
     assert (any(row["query_rate"] == 0.0 for row in memo.rows)
             == (method != "dagger"))
     monkeypatch.setattr(training, "PersonaAgent", UnmemoizedAgent)
+    monkeypatch.setattr(training, "rollout", recording(fresh_steps))
     fresh = run_training(cfg, out_path=tmp_path / "fresh.csv")
     assert type(fresh.agent) is UnmemoizedAgent
     assert ((tmp_path / "memo.csv").read_bytes()
             == (tmp_path / "fresh.csv").read_bytes())
+    assert memo_steps and len(memo_steps) == len(fresh_steps)
+    for (mean, cdf), (want_mean, want_cdf) in zip(memo_steps, fresh_steps):
+        assert mean.tobytes() == want_mean.tobytes()
+        assert cdf.tobytes() == want_cdf.tobytes()
     got, want = _checkpoint_arrays(memo), _checkpoint_arrays(fresh)
     assert got.keys() == want.keys()
     for name in want:
