@@ -13,19 +13,26 @@ diagonal p_a (1 - p_a) h_j^2 of every queried training step. The precision
 only grows, so posterior samples concentrate where the agent has been taught.
 Acting and training always use the mean weights.
 
-Rows are batched: ``policy_probs`` evaluates a vector of identities under a
-stack of posterior draws, at one state or at a stack of states, with one
-hidden forward and one stacked head matmul, ``mean_exe_policy`` evaluates
-its drawn identities in one forward, and ``exe_losses`` trains on an
-episode's queried steps as one ``(T, in)`` pass, so the head precision and
-the weights change together at episode end.
+Posterior draws are taken in logit space, which is exact for a last layer.
+At one state, the K identities' logits for action a are jointly Gaussian
+with mean ``H W_a + b_a`` and covariance ``H diag(1/precision_a) H^T``, H
+being their ``(K, hidden)`` hidden activation. ``logit_posterior`` gives the
+mean logits and a Cholesky factor L of each covariance, so a draw of every
+identity's logits takes A x K normals (mean + L z) instead of a weight-space
+draw of A x hidden.
+
+Rows are batched: ``logit_posterior`` takes one state or a stack of states
+through one hidden forward, ``mean_exe_policy`` evaluates its drawn
+identities in one forward, and ``exe_losses`` trains on an episode's
+queried steps as one ``(T, in)`` pass, so the head precision and the
+weights change together at episode end.
 
 The agent keeps a forward table of what one state's steps read at the mean
 weights: rho (``identity_probs``), rho's cdf, the policy rows of an exact
-identity vector (``policy_probs`` without a draw), the mean policy of each
-vector of draw counts (``mean_exe_policy``) and that mean's cdf
-(``mean_policy_cdf``). Keys hold the state's
-bytes, since a ``(1, dim)`` matmul may round apart from a ``(K, dim)`` one.
+identity vector (``policy_probs``), the mean policy of each vector of draw
+counts (``mean_exe_policy``) and that mean's cdf (``mean_policy_cdf``). Keys
+hold the state's bytes, since a ``(1, dim)`` matmul may round apart from a
+``(K, dim)`` one.
 Its one invariant: every entry is read through ``_entry``, which drops the
 table when either net's ``ParamSet.version`` moves. Weights change only
 through ``update`` and ``load_arrays``; a direct write to a ``Param.value``
@@ -92,42 +99,33 @@ class PersonaAgent:
         logits, _ = self.id_net.forward(features[:, None, :])
         return softmax(logits[:, 0])
 
-    def posterior_draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` posterior samples of the head ``exe.out.W``, ``(n, A,
-        hidden)``: W + z/sqrt(precision), with every normal z taken in one
-        call."""
-        draws = rng.standard_normal((n, *self.head_precision.shape))
-        draws /= np.sqrt(self.head_precision)
-        draws += self.exe_net.out.w.value
-        return draws
+    def policy_probs(self, features: np.ndarray, identity) -> np.ndarray:
+        """Policy at one state under the mean weights: an int identity gives
+        ``(A,)``, a vector of K identities ``(K, A)``."""
+        ids = np.asarray(identity)
+        return self._entry((features.tobytes(), ids.shape, ids.tobytes()),
+                           lambda: softmax(self.exe_net.forward(
+                               features, identity)[0]))
 
-    def policy_probs(self, features: np.ndarray, identity,
-                     draw: np.ndarray | None = None) -> np.ndarray:
-        """Policy at one state, at the mean weights or with the head at a
-        posterior sample ``draw`` (see ``posterior_draw``).
+    def logit_posterior(self, features: np.ndarray):
+        """The head posterior in logit space, at one state ``(in,)`` or at
+        each state of a stack ``(S, in)``.
 
-        ``identity`` is an int or a vector of K identities, giving ``(A,)`` or
-        ``(K, A)``. ``draw`` may be one posterior draw or a stack ``(N, A,
-        hidden)``; a stack shares one hidden forward and puts N first, so K
-        identities under N draws give ``(N, K, A)``. A stack of S states
-        ``(S, in)`` takes one stack of draws per state, ``(S, N, A, hidden)``,
-        and gives ``(S, N, K, A)``: the states and the personas enter the
-        hidden layer as separate input blocks, and each state's block equals
-        its one-state call bitwise.
+        Returns the mean-weight logits of all K identities ``(..., K, A)``
+        and, per action a, a lower-triangular factor L of their covariance
+        ``H diag(1/precision_a) H^T`` ``(..., A, K, K)``, where H is the
+        identities' ``(K, hidden)`` hidden activation. A draw of every
+        identity's logits is then mean + L z with z of A x K normals. Each
+        state of a stack is a ``(1, in)`` row of its own, so it gets the bits
+        of its one-state call.
         """
-        if draw is None and features.ndim == 1:
-            ids = np.asarray(identity)
-            return self._entry((features.tobytes(), ids.shape, ids.tobytes()),
-                               lambda: softmax(self.exe_net.forward(
-                                   features, identity)[0]))
-        if draw is None:
-            logits, _ = self.exe_net.forward(features, identity)
-        else:
-            if features.ndim > 1:  # (S, 1, 1, in): a row per state, a draw axis
-                features = features[:, None, None, :]
-            h, _ = self.exe_net.hidden_forward(features, identity)
-            logits = h @ np.swapaxes(draw, -1, -2) + self.exe_net.out.b.value
-        return softmax(logits)
+        if features.ndim > 1:
+            features = features[:, None, :]
+        h, _ = self.exe_net.hidden_forward(features,
+                                           np.arange(self.n_teachers))
+        mean, _ = self.exe_net.out.forward(h)
+        scaled = h[..., None, :, :] / np.sqrt(self.head_precision)[:, None, :]
+        return mean, psd_factor(scaled @ np.swapaxes(scaled, -1, -2))
 
     def mean_exe_policy(self, features: np.ndarray, n: int,
                         rng: np.random.Generator) -> np.ndarray:
@@ -212,3 +210,23 @@ class PersonaAgent:
         if not (precision > 0.0).all():
             raise ValueError(f"{HEAD_PRECISION_NAME!r} must be positive")
         self.head_precision[...] = precision
+
+
+def psd_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = cov, for a stack ``(..., K, K)`` of
+    positive semi-definite matrices: a Cholesky whose pivots are clipped at
+    0, one column at a time over the whole stack. A singular block (K=1 with
+    a zero hidden row, or two proportional rows) gets a zero column where
+    ``np.linalg.cholesky`` would raise."""
+    k = cov.shape[-1]
+    factor = np.zeros_like(cov)
+    for j in range(k):
+        col = cov[..., j:, j]  # column j from the diagonal down
+        for p in range(j):
+            col = col - factor[..., j:, p] * factor[..., j, p, None]
+        pivot = np.sqrt(np.maximum(col[..., 0], 0.0))
+        factor[..., j, j] = pivot
+        if j + 1 < k:
+            np.divide(col[..., 1:], pivot[..., None],
+                      out=factor[..., j + 1:, j], where=pivot[..., None] > 0.0)
+    return factor

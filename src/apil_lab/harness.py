@@ -393,7 +393,7 @@ def make_table1(paths: list[Path]) -> list[dict]:
     """Mean intrinsic/extrinsic per teacher from uncertainty-report CSVs.
 
     Files name their teacher as a filename token (e.g. uncrep_tworand_s0.csv);
-    every teacher must be present.
+    every teacher must be present, and every file must hold a mean row.
     """
     by_teacher: dict[str, list[Path]] = {t: [] for t in TEACHER_MODELS}
     for path in paths:
@@ -407,11 +407,13 @@ def make_table1(paths: list[Path]) -> list[dict]:
     for teacher in TEACHER_MODELS:
         intr, extr = [], []
         for path in by_teacher[teacher]:
-            for row in _report_rows(path, ("state_id", "intrinsic",
-                                           "extrinsic")):
-                if row["state_id"] == "mean":
-                    intr.append(float(row["intrinsic"]))
-                    extr.append(float(row["extrinsic"]))
+            means = [row for row in _report_rows(path, ("state_id", "intrinsic",
+                                                        "extrinsic"))
+                     if row["state_id"] == "mean"]
+            if not means:
+                raise ValueError(f"{path} has no 'mean' row")
+            intr.extend(float(row["intrinsic"]) for row in means)
+            extr.extend(float(row["extrinsic"]) for row in means)
         ref_intr, ref_extr = TABLE1_REFERENCE[teacher]
         out.append({"teacher": teacher,
                     "intrinsic": float(np.mean(intr)),

@@ -219,8 +219,10 @@ class MLP:
     from ``rng``, in the order hidden W, out W, table.
 
     Every call takes one row ``x`` of shape ``(in,)`` or a stack ``(B, in)``
-    with an index vector ``(B,)``. One row ``x`` with an index vector ``(K,)``
-    evaluates that row under each of the K embedding rows (forward only).
+    with an index vector ``(B,)``; ``x`` may also be a tuple of column blocks
+    of one shape each, read without a concatenated copy. One row ``x`` with
+    an index vector ``(K,)`` evaluates that row under each of the K embedding
+    rows (forward only).
     """
 
     def __init__(self, prefix: str, in_dim: int, hidden: int, out_dim: int,
@@ -237,12 +239,14 @@ class MLP:
         self.opt = AdamState(self.params, lr=lr)
         self.pending = 0
 
-    def hidden_forward(self, x: np.ndarray, index=None):
-        """Hidden activation and its cache; the embedding rows join ``x`` as
-        a second input block."""
-        if self.embed is None:
-            return self.hidden.forward(x)
-        return self.hidden.forward(x, self.embed.forward(index))
+    def hidden_forward(self, x, index=None):
+        """Hidden activation and its cache. ``x`` is one input array or a
+        tuple of column blocks (see ``Dense``); the embedding rows join them
+        as the last block."""
+        blocks = x if isinstance(x, tuple) else (x,)
+        if self.embed is not None:
+            blocks = (*blocks, self.embed.forward(index))
+        return self.hidden.forward(*blocks)
 
     def forward(self, x: np.ndarray, index=None):
         """Return (output, (index, hidden-layer cache, out-layer cache))."""
@@ -256,7 +260,7 @@ class MLP:
         (dh,) = self.out.backward(out_cache, dy)
         dx = self.hidden.backward(h_cache, dh)
         if self.embed is not None:
-            self.embed.backward(index, dx[1])
+            self.embed.backward(index, dx[-1])
         self.pending += 1
 
     def update(self) -> None:

@@ -114,8 +114,9 @@ def ignore_labels(traj: Trajectory, cfg: ApilConfig) -> list[int]:
 class QueryNet:
     """Ask policy over {continue, query}.
 
-    Input is concat(state features, mean-policy ProbVec, remaining-steps
-    embedding); the embedding table is indexed by the number of steps left.
+    Its hidden layer reads three input blocks: the state features, the
+    mean-policy ProbVec and the remaining-steps embedding row, whose table is
+    indexed by the number of steps left.
     """
 
     STEPS_EMBED_DIM = 10
@@ -131,8 +132,7 @@ class QueryNet:
         remaining-step counts."""
         if mean_policy is None:
             raise ValueError("ask decision needs the mean execution policy")
-        return self.mlp.forward(np.concatenate([features, mean_policy],
-                                               axis=-1), remaining)
+        return self.mlp.forward((features, mean_policy), remaining)
 
     def forward(self, features, mean_policy, remaining) -> np.ndarray:
         logits, _ = self.logits(features, mean_policy, remaining)
@@ -172,8 +172,10 @@ def query_imitation_loss(net: QueryNet, steps: list[StepRecord],
 class ErrPredNet:
     """Margin regressor for the error-prediction baseline.
 
-    The output head starts at exactly 1.0 (zero weights, unit bias), so an
-    untrained regressor always predicts a query-worthy margin.
+    Its hidden layer reads the state features and the mean-policy ProbVec as
+    two input blocks. The output head starts at exactly 1.0 (zero weights,
+    unit bias), so an untrained regressor always predicts a query-worthy
+    margin.
     """
 
     def __init__(self, state_dim: int, n_actions: int, rng: np.random.Generator,
@@ -183,15 +185,14 @@ class ErrPredNet:
         self.mlp.out.b.value[...] = 1.0
 
     def predict(self, features, mean_policy) -> float:
-        y, _ = self.mlp.forward(np.concatenate([features, mean_policy]))
+        y, _ = self.mlp.forward((features, mean_policy))
         return float(y[0])
 
     def accumulate_sq_loss(self, features, mean_policy, targets) -> np.ndarray:
         """Accumulate the squared-error gradients of a stack of ``(T,
         state_dim)`` and ``(T, n_actions)`` rows against ``(T,)`` targets in
         one pass; returns the per-row squared errors."""
-        y, cache = self.mlp.forward(np.concatenate([features, mean_policy],
-                                                   axis=-1))
+        y, cache = self.mlp.forward((features, mean_policy))
         err = y[..., 0] - targets
         self.mlp.backward(cache, 2.0 * err[..., None])
         return err * err

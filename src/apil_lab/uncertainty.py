@@ -12,15 +12,15 @@ at a generous N1 the model term shrinks with training data; a small N1
 inflates it wherever the extrinsic term is high.
 
 The estimate takes one state or a stack of S states, and its arithmetic is
-loop-free. The posterior perturbs only the policy head, so an identity's
-hidden activation does not depend on the draw: one hidden forward of all K
-identities at all S states and one stacked head matmul evaluate every
-identity under all N2 draws, and one ``entropy`` call on the stacked rows
-gives every entropy the estimate needs. The stream order is fixed per state,
-and the states of a stack take their numbers in order: all N2 head draws in
-one ``posterior_draw`` call, then all N2 x N1 identity uniforms in one
-``random`` call. So a stack leaves the stream where one call per state
-would, and each of its reports is bitwise that call's report.
+loop-free. The posterior perturbs only the policy head, so at one state the
+K identities' logits for each action are jointly Gaussian (see
+``PersonaAgent.logit_posterior``): a draw is the mean logits plus L z, with
+A x K standard normals z, and no weight-space draw is taken. The stream
+order is fixed per state, and the states of a stack take their numbers in
+order: all N2 x A x K normals in one ``standard_normal`` call, then all N2 x
+N1 identity uniforms in one ``random`` call. So a stack leaves the stream
+where one call per state would, and each of its reports is bitwise that
+call's report.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import categorical_cdf, draw
+from .nncore import categorical_cdf, draw, softmax
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,12 @@ def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
     """
     n1, n2, k = cfg.n1, cfg.n2, agent.n_teachers
     rho = agent.identity_probs(features)
-    draws, picks = _draws(agent, rho, cfg, rng)
+    mean, factor = agent.logit_posterior(features)
+    normals, picks = _draws(rho, factor.shape[-3:-1], cfg, rng)
     weights = (picks[..., None] == np.arange(k)).sum(axis=-2) / n1
-    probs = agent.policy_probs(features, np.arange(k), draws)
+    # every identity's logits under every draw, mean + L z: (..., N2, K, A)
+    noise = (factor[..., None, :, :, :] @ normals[..., None])[..., 0]
+    probs = softmax(mean[..., None, :, :] + np.swapaxes(noise, -1, -2))
     mixtures = (weights[..., None] * probs).sum(axis=-2)
     lead = rho.shape[:-1]  # () at one state, (S,) over a stack
     # sums over the draws divided by N2: the means, without np.mean's overhead
@@ -100,17 +103,17 @@ def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
             zip(intrinsic.tolist(), behavioral.tolist(), h[:, -1].tolist())]
 
 
-def _draws(agent, rho: np.ndarray, cfg: UncertaintyConfig,
+def _draws(rho: np.ndarray, shape: tuple[int, int], cfg: UncertaintyConfig,
            rng: np.random.Generator):
-    """A state's N2 posterior draws, then its N2 x N1 identity picks. Over a
-    stack of identity rows they are taken state by state, in order, and
-    written into one stack each as they come, so no second copy is held."""
+    """A state's N2 draws of ``shape`` (A x K) standard normals, then its N2
+    x N1 identity picks. Over a stack of identity rows they are taken state
+    by state, in order, and written into one stack each as they come."""
     if rho.ndim == 1:
-        return (agent.posterior_draw(rng, cfg.n2),
+        return (rng.standard_normal((cfg.n2, *shape)),
                 draw(categorical_cdf(rho), rng, (cfg.n2, cfg.n1)))
     stacks = None
     for s, rho_s in enumerate(rho):
-        pair = _draws(agent, rho_s, cfg, rng)
+        pair = _draws(rho_s, shape, cfg, rng)
         if stacks is None:
             stacks = [np.empty((len(rho), *x.shape), x.dtype) for x in pair]
         for stack, x in zip(stacks, pair):

@@ -50,15 +50,31 @@ def brute_force_labels(T, queried, distances, cfg: ApilConfig):
     return labels
 
 
+def drawn_logits(mean, factor, normals):
+    """Every identity's logits ``(K, A)`` under one logit-space posterior
+    draw, one dot product per (identity, action): mean[k, a] + L_a[k] . z_a
+    for the agent's ``logit_posterior`` mean and factor and ``(A, K)``
+    normals."""
+    logits = np.array(mean, dtype=np.float64)
+    for k in range(logits.shape[0]):
+        for a in range(logits.shape[1]):
+            logits[k, a] += np.dot(factor[a, k], normals[a])
+    return logits
+
+
 def sample_policy(agent, features, rng, posterior_sampling=False):
     """Sample an identity, then return (identity, its policy ProbVec).
 
-    A fresh posterior draw is taken iff ``posterior_sampling`` is set.
+    A fresh logit-space posterior draw (A x K normals) is taken iff
+    ``posterior_sampling`` is set.
     """
     rho = agent.identity_probs(features)
     k = int(draw(categorical_cdf(rho), rng))
-    head = agent.posterior_draw(rng, 1)[0] if posterior_sampling else None
-    return k, agent.policy_probs(features, k, head)
+    if not posterior_sampling:
+        return k, agent.policy_probs(features, k)
+    mean, factor = agent.logit_posterior(features)
+    normals = rng.standard_normal(factor.shape[:2])
+    return k, softmax(drawn_logits(mean, factor, normals)[k])
 
 
 def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
@@ -67,23 +83,26 @@ def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
     identity at a time.
 
     It takes its numbers in the estimate's order, one call per draw: the N2
-    head draws, then N2 times N1 identities with ``rng.choice``. Each draw
-    evaluates one ``policy_probs`` per distinct identity, mixed by counts.
+    draws of A x K normals, then N2 times N1 identities with ``rng.choice``.
+    Each draw forms its logits with ``drawn_logits`` and evaluates one
+    softmax per distinct identity, mixed by counts.
     """
     rho = agent.identity_probs(features)
-    draws = [agent.posterior_draw(rng, 1)[0] for _ in range(cfg.n2)]
+    mean, factor = agent.logit_posterior(features)
+    normals = [rng.standard_normal(factor.shape[:2]) for _ in range(cfg.n2)]
     picks = [rng.choice(agent.n_teachers, size=cfg.n1, p=rho)
              for _ in range(cfg.n2)]
     behavioral_terms = np.empty(cfg.n2)
     intrinsic_terms = np.empty(cfg.n2)
     mixture_sum = np.zeros(agent.n_actions)
-    for i, (draw, ks) in enumerate(zip(draws, picks)):
+    for i, (z, ks) in enumerate(zip(normals, picks)):
+        logits = drawn_logits(mean, factor, z)
         counts = np.bincount(ks, minlength=agent.n_teachers)
         mixture = np.zeros(agent.n_actions)
         intrinsic = 0.0
         for k in np.flatnonzero(counts):
             weight = counts[k] / cfg.n1
-            probs = agent.policy_probs(features, int(k), draw)
+            probs = softmax(logits[k])
             mixture += weight * probs
             intrinsic += weight * entropy(probs)
         behavioral_terms[i] = entropy(mixture)

@@ -80,7 +80,7 @@ def test_sample_policy_is_seeded():
 def test_mean_policy_of_two_deltas_approaches_half():
     agent = _fresh()
     agent.identity_probs = lambda features: np.array([0.5, 0.5])
-    agent.policy_probs = lambda features, k, draw=None: np.eye(2)[k]
+    agent.policy_probs = lambda features, k: np.eye(2)[k]
     mean = agent.mean_exe_policy(np.zeros(25), 10_000, np.random.default_rng(0))
     assert 0.48 <= mean[0] <= 0.52
     assert abs(mean.sum() - 1.0) <= 1e-9
@@ -123,6 +123,44 @@ def test_mean_policy_is_one_entry_per_state_and_draw_counts():
     means = {id(agent.mean_exe_policy(features, 5, np.random.default_rng(s)))
              for s in range(20)}
     assert len(means) > 1  # other counts are other entries
+
+
+def _factor_cases():
+    """(label, agent, features): random agents of K = 1, 2, 3 with a random
+    head precision, K=1 with a zero hidden row, and K=3 whose hidden rows
+    are h, -h and h."""
+    rng = np.random.default_rng(6)
+    cases = []
+    for k in (1, 2, 3):
+        agent = _fresh(n_teachers=k, seed=k)
+        agent.head_precision[...] = rng.uniform(1.0, 1e3,
+                                                agent.head_precision.shape)
+        cases.append((f"random K={k}", agent, rng.normal(size=25)))
+    zero = _fresh(n_teachers=1)
+    zero.exe_net.hidden.w.value[...] = 0.0  # the hidden bias starts at 0
+    cases.append(("K=1, h=0", zero, rng.normal(size=25)))
+    mirrored = _fresh(n_teachers=3)
+    personas = mirrored.exe_net.embed.table.value
+    personas[1], personas[2] = -personas[0], personas[0]  # tanh is odd
+    cases.append(("proportional rows", mirrored, np.zeros(25)))
+    return cases
+
+
+def test_logit_factor_reproduces_the_weight_space_covariance():
+    """L L^T is H diag(1/precision_a) H^T within 1e-12 relative for every
+    action, L is lower-triangular, and a singular block does not raise."""
+    for label, agent, features in _factor_cases():
+        k = agent.n_teachers
+        h, _ = agent.exe_net.hidden_forward(features, np.arange(k))
+        _, factor = agent.logit_posterior(features)
+        for a, (precision, lower) in enumerate(zip(agent.head_precision,
+                                                   factor)):
+            want = h @ np.diag(1.0 / precision) @ h.T
+            assert np.array_equal(np.tril(lower), lower), (label, a)
+            assert (np.abs(lower @ lower.T - want).max()
+                    <= 1e-12 * np.abs(want).max()), (label, a)
+        if label == "K=1, h=0":
+            assert not factor.any()
 
 
 def _one_state_outputs(agent, features, identities):

@@ -320,6 +320,21 @@ def test_report_table1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_table1_refuses_a_file_without_a_mean_row(tmp_path, capsys):
+    """A header-only report CSV is bad data, not a nan row: exit 2 with an
+    error line that names the file, and no output."""
+    for teacher in TABLE1_REFERENCE:
+        write_csv(tmp_path / f"uncrep_{teacher}_s0.csv", UNCERTAINTY_COLUMNS,
+                  [] if teacher == "rand" else [_mean_row(0.1, 0.0)])
+    out = tmp_path / "table1.csv"
+    assert main(["report", "--kind", "table1", "--in",
+                 str(tmp_path / "uncrep_*.csv"), "--out",
+                 str(out)]) == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "uncrep_rand_s0.csv" in err
+    assert not out.exists()
+
+
 def test_report_fig4(tmp_path, capsys):
     cols = ("method", "teacher", "episode", "query_rate")
     write_csv(tmp_path / "apil_detm_s0.csv", cols, [

@@ -15,48 +15,41 @@ from apil_lab.uncertainty import (UncertaintyConfig, aggregate, entropy,
 
 
 class _StubAgent:
-    """Fixed identity mixture and per-identity policies, no network."""
+    """Fixed identity mixture and per-identity logits ``(K, A)``, no network,
+    so no posterior spread."""
 
-    def __init__(self, rho, policies):
+    def __init__(self, rho, logits):
         self._rho = np.asarray(rho, dtype=np.float64)
-        self._policies = [np.asarray(p, dtype=np.float64) for p in policies]
-        self.n_teachers = len(self._policies)
-        self.n_actions = self._policies[0].size
+        self._logits = np.asarray(logits, dtype=np.float64)
+        self.n_teachers, self.n_actions = self._logits.shape
 
     def identity_probs(self, features):
         # one mixture at one state, the same one at each state of a stack
         return np.broadcast_to(self._rho, (*features.shape[:-1], self.n_teachers))
 
-    def posterior_draw(self, rng, n):
-        # no network, so nothing for the posterior to perturb
-        return np.zeros((n, 0))
-
-    def policy_probs(self, features, identity, draw=None):
-        return _rows(np.array(self._policies)[identity], draw)
+    def logit_posterior(self, features):
+        return _posterior(np.broadcast_to(
+            self._logits, (*features.shape[:-1], *self._logits.shape)))
 
 
-def _rows(probs, draw):
-    """Policy rows, repeated once per posterior draw of a stack: a state's
-    draws ``(N, 0)`` give ``(N, K, A)``, a stack of states' draws ``(S, N,
-    0)`` give ``(S, N, K, A)``."""
-    if draw is None or draw.ndim < 2:
-        return probs
-    return np.broadcast_to(probs, (*draw.shape[:-1], *probs.shape[-2:]))
+def _posterior(mean):
+    """Mean logits ``(..., K, A)`` with a zero factor ``(..., A, K, K)``."""
+    *lead, k, a = mean.shape
+    return mean, np.zeros((*lead, a, k, k))
+
+
+DELTA, UNIFORM = [0.0, -np.inf], [0.0, 0.0]  # logits of [1, 0] and [.5, .5]
 
 
 class _FeatureSwitchAgent(_StubAgent):
     """Single identity; uniform policy at features[0] == 0, delta otherwise."""
 
     def __init__(self):
-        super().__init__([1.0], [np.array([0.5, 0.5])])
+        super().__init__([1.0], [UNIFORM])
 
-    def policy_probs(self, features, identity, draw=None):
-        # (1, A) at one state, (S, 1, 1, A) over a stack: a draw axis per state
+    def logit_posterior(self, features):
         uniform = features[..., 0, None, None] == 0.0
-        policy = np.where(uniform, [[0.5, 0.5]], [[1.0, 0.0]])
-        if features.ndim > 1:
-            policy = policy[:, None]
-        return _rows(policy[..., identity, :], draw)
+        return _posterior(np.where(uniform, [UNIFORM], [DELTA]))
 
 
 def test_entropy_examples():
@@ -123,7 +116,7 @@ def test_estimate_deterministic_single_teacher_is_all_zero():
 
 
 def test_estimate_two_delta_committee_limits():
-    agent = _StubAgent([0.5, 0.5], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    agent = _StubAgent([0.5, 0.5], [DELTA, DELTA[::-1]])
     rep = estimate(agent, np.zeros(4), UncertaintyConfig(10_000, 10),
                    np.random.default_rng(0))
     assert rep.intrinsic == 0.0
@@ -132,7 +125,7 @@ def test_estimate_two_delta_committee_limits():
 
 
 def test_estimate_uniform_policy_is_pure_intrinsic():
-    agent = _StubAgent([1.0], [np.array([0.5, 0.5])])
+    agent = _StubAgent([1.0], [UNIFORM])
     for n1 in (1, 3, 10):
         rep = estimate(agent, np.zeros(4), UncertaintyConfig(n1, 4),
                        np.random.default_rng(0))
@@ -260,14 +253,19 @@ def test_batched_estimate_equals_the_per_draw_oracle(oracle_agents):
                     label, n1, n2)
 
 
-def test_stacked_policy_probs_equal_single_draws(oracle_agents):
-    rng = np.random.default_rng(0)
+def test_stacked_logit_posterior_equals_one_state_calls(oracle_agents):
+    """A stack of states gives each state's mean logits and factor bitwise
+    as its one-state call, and the mean logits are the mean-weight forward
+    of all K identities."""
     for label, agent, states in oracle_agents:
-        draws = agent.posterior_draw(rng, 6)
-        identities = np.arange(agent.n_teachers)
-        stacked = agent.policy_probs(states[0], identities, draws)
-        assert stacked.shape == (6, agent.n_teachers, agent.n_actions), label
-        for draw, per_draw in zip(draws, stacked):
-            for k, probs in zip(identities, per_draw):
-                single = agent.policy_probs(states[0], int(k), draw)
-                assert np.abs(single - probs).max() <= 1e-14, label
+        k, a = agent.n_teachers, agent.n_actions
+        means, factors = agent.logit_posterior(np.stack(states))
+        assert means.shape == (len(states), k, a), label
+        assert factors.shape == (len(states), a, k, k), label
+        for features, stacked_mean, stacked_factor in zip(states, means,
+                                                          factors):
+            mean, factor = agent.logit_posterior(features)
+            forward, _ = agent.exe_net.forward(features, np.arange(k))
+            assert mean.tobytes() == forward.tobytes(), label
+            assert stacked_mean.tobytes() == mean.tobytes(), label
+            assert stacked_factor.tobytes() == factor.tobytes(), label
