@@ -11,8 +11,8 @@ behavioral term. The posterior concentrates as queried data accumulates, so
 at a generous N1 the model term shrinks with training data; a small N1
 inflates it wherever the extrinsic term is high.
 
-The estimate takes one state or a stack of S states, and its arithmetic is
-loop-free. The posterior perturbs only the policy head, so at one state the
+The estimate takes one state or a stack of S states, and its arithmetic has
+no loop over states or draws. The posterior perturbs only the policy head, so at one state the
 K identities' logits for each action are jointly Gaussian (see
 ``PersonaAgent.logit_posterior``): a draw is the mean logits plus L z, with
 A x K standard normals z, and no weight-space draw is taken. The stream
