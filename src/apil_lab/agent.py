@@ -21,23 +21,38 @@ mean logits and a Cholesky factor L of each covariance, so a draw of every
 identity's logits takes A x K normals (mean + L z) instead of a weight-space
 draw of A x hidden.
 
-Rows are batched: ``logit_posterior`` takes one state or a stack of states
-through one hidden forward, ``mean_exe_policy`` evaluates its drawn
-identities in one forward, and ``exe_losses`` trains on an episode's
-queried steps as one ``(T, in)`` pass, so the head precision and the
-weights change together at episode end.
+Rows are batched: ``identity_probs`` and ``logit_posterior`` take one state
+or a stack of states through one stacked forward, ``mean_exe_policy``
+evaluates its drawn identities in one forward, and ``exe_losses`` trains on
+an episode's queried steps as one ``(T, in)`` pass, so the head precision
+and the weights change together at episode end.
 
 The agent keeps a forward table of what one state's steps read at the mean
-weights: rho (``identity_probs``), rho's cdf, the policy rows of an exact
-identity vector (``policy_probs``), the mean policy of each vector of draw
-counts (``mean_exe_policy``) and that mean's cdf (``mean_policy_cdf``). Keys
-hold the state's bytes, since a ``(1, dim)`` matmul may round apart from a
+weights: rho (``identity_probs``), rho's cdf, the logit posterior's mean and
+factor (``logit_posterior``), the policy rows of an exact identity vector
+(``policy_probs``), the mean policy of each vector of draw counts
+(``mean_exe_policy``) and that mean's cdf (``mean_policy_cdf``). Keys hold
+the state's bytes, since a ``(1, dim)`` matmul may round apart from a
 ``(K, dim)`` one.
+
+rho and the posterior depend only on the weights and the state, so they are
+filled by stack. The agent keeps the features of every state it has been
+asked about at one state; their number is the number of distinct states an
+env can show (24 on the 5x5 grid, 22 on the 6x6 maze), so the set has no
+cap. The first miss of either kind after a weight change evaluates it at
+every known state in one stacked pass, and each row becomes that state's
+entry; a state first seen at the current weights gets a one-row stack and
+joins the next fill. Each state of a stack is a ``(1, in)`` row of its own,
+so a row's bits do not depend on the other rows. The policy rows and the
+mean are left per state: a forward of a subset of the identities is not
+bitwise a row of the all-K forward.
+
 Its one invariant: every entry is read through ``_entry``, which drops the
 table when either net's ``ParamSet.version`` moves. Weights change only
 through ``update`` and ``load_arrays``; a direct write to a ``Param.value``
-is outside that contract. The table's arrays are shared, so they are
-read-only.
+is outside that contract. The posterior entries also read the head
+precision, so its two writers, ``exe_losses`` and ``load_arrays``, drop the
+table too. The table's arrays are shared, so they are read-only.
 """
 from __future__ import annotations
 
@@ -74,30 +89,65 @@ class PersonaAgent:
         self.id_net = MLP("id", state_dim, hidden, n_teachers, rng, lr)
         self._table: dict = {}
         self._table_version = None
+        self._filled: set[str] = set()  # kinds filled at the table's version
+        self._known: dict[bytes, np.ndarray] = {}  # features by their bytes
 
     # ---------------------------------------------------------------- forward
 
-    def _entry(self, key, build) -> np.ndarray:
+    def _entry(self, key, build):
         """The table's read-only ``build()`` under ``key``, built once at the
         current weights. Every entry is read here."""
         version = (self.exe_net.params.version, self.id_net.params.version)
         if version != self._table_version:
-            self._table, self._table_version = {}, version
+            self._table, self._filled = {}, set()
+            self._table_version = version
         entry = self._table.get(key)
         if entry is None:
-            entry = self._table[key] = build()
-            entry.flags.writeable = False
+            entry = self._table[key] = _read_only(build())
         return entry
+
+    def _per_state(self, kind: str, features: np.ndarray) -> tuple:
+        """``kind``'s arrays at one state, read from the table, or at each
+        state of a stack ``(S, in)``, computed afresh."""
+        if features.ndim > 1:
+            return self._stack(kind, features)
+        return self._entry((kind, features.tobytes()),
+                           lambda: self._fill(kind, features))
+
+    def _fill(self, kind: str, features: np.ndarray) -> tuple:
+        """The entry of ``kind`` at a state that missed. The first miss of
+        ``kind`` at the current weights evaluates it at every known state in
+        one stack and writes each state's row; a later miss is a state first
+        seen since, which gets a one-row stack."""
+        state = features.tobytes()
+        self._known.setdefault(state, features.copy())
+        if kind in self._filled:
+            return tuple(x[0] for x in self._stack(kind, features[None]))
+        self._filled.add(kind)
+        stack = _read_only(self._stack(
+            kind, np.stack(list(self._known.values()))))
+        for known, row in zip(self._known, zip(*stack)):
+            self._table[(kind, known)] = row  # read-only views of the stack
+        return self._table[(kind, state)]
+
+    def _stack(self, kind: str, features: np.ndarray) -> tuple:
+        """The arrays of ``kind`` at each state of a stack ``(S, in)``, each
+        with S rows: ``(rho,)`` for "rho", ``(mean, factor)`` for
+        "posterior". Each state is a ``(1, in)`` row of its own, so its row
+        does not depend on the rest of the stack."""
+        x = features[:, None, :]
+        if kind == "rho":
+            logits, _ = self.id_net.forward(x)
+            return (softmax(logits[:, 0]),)
+        h, _ = self.exe_net.hidden_forward(x, np.arange(self.n_teachers))
+        mean, _ = self.exe_net.out.forward(h)
+        scaled = h[:, None] / np.sqrt(self.head_precision)[:, None, :]
+        return mean, psd_factor(scaled @ np.swapaxes(scaled, -1, -2))
 
     def identity_probs(self, features: np.ndarray) -> np.ndarray:
         """rho(k|s) at one state ``(K,)``, or at each state of a stack ``(S,
-        K)``. Each state is a ``(1, in)`` row of its own, so it gets the bits
-        of its one-state call (one matmul over the stack may round apart)."""
-        if features.ndim == 1:
-            return self._entry(features.tobytes(), lambda: softmax(
-                self.id_net.forward(features)[0]))
-        logits, _ = self.id_net.forward(features[:, None, :])
-        return softmax(logits[:, 0])
+        K)``."""
+        return self._per_state("rho", features)[0]
 
     def policy_probs(self, features: np.ndarray, identity) -> np.ndarray:
         """Policy at one state under the mean weights: an int identity gives
@@ -115,17 +165,9 @@ class PersonaAgent:
         and, per action a, a lower-triangular factor L of their covariance
         ``H diag(1/precision_a) H^T`` ``(..., A, K, K)``, where H is the
         identities' ``(K, hidden)`` hidden activation. A draw of every
-        identity's logits is then mean + L z with z of A x K normals. Each
-        state of a stack is a ``(1, in)`` row of its own, so it gets the bits
-        of its one-state call.
+        identity's logits is then mean + L z with z of A x K normals.
         """
-        if features.ndim > 1:
-            features = features[:, None, :]
-        h, _ = self.exe_net.hidden_forward(features,
-                                           np.arange(self.n_teachers))
-        mean, _ = self.exe_net.out.forward(h)
-        scaled = h[..., None, :, :] / np.sqrt(self.head_precision)[:, None, :]
-        return mean, psd_factor(scaled @ np.swapaxes(scaled, -1, -2))
+        return self._per_state("posterior", features)
 
     def mean_exe_policy(self, features: np.ndarray, n: int,
                         rng: np.random.Generator) -> np.ndarray:
@@ -173,6 +215,7 @@ class PersonaAgent:
         probs, pol_losses, dlogits = softmax_nll(logits, actions)
         _, (_, h), _ = cache  # a Dense cache is (input blocks, output)
         self.head_precision += (probs * (1.0 - probs)).T @ (h * h)
+        self._table_version = None  # the posterior entries read the precision
         self.exe_net.backward(cache, dlogits)
 
         logits, cache = self.id_net.forward(features)
@@ -210,6 +253,14 @@ class PersonaAgent:
         if not (precision > 0.0).all():
             raise ValueError(f"{HEAD_PRECISION_NAME!r} must be positive")
         self.head_precision[...] = precision
+        self._table_version = None  # the posterior entries read the precision
+
+
+def _read_only(entry):
+    """A table entry, an array or a tuple of arrays, made read-only."""
+    for array in entry if isinstance(entry, tuple) else (entry,):
+        array.flags.writeable = False
+    return entry
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

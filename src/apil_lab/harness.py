@@ -21,7 +21,7 @@ import numpy as np
 from . import training
 from .envs import ENVS
 from .gradcheck import run_all as run_gradchecks
-from .nncore import load_checkpoint, save_checkpoint
+from .nncore import atomic_open, load_checkpoint, save_checkpoint
 from .query import NeverQueryPolicy
 from .teachers import TEACHER_MODELS
 from .training import (METHODS, RunConfig, final_query_rate,
@@ -293,7 +293,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
                         if name not in ("method", "teacher", "seed")},
         "cells": statuses,
     }
-    with open(outdir / "manifest.json", "w") as fh:
+    with atomic_open(outdir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     failed = [e for e in statuses if e["status"] != "ok"]

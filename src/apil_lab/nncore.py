@@ -7,7 +7,8 @@ accumulates gradients, ``update`` applies them. A ParamSet keeps all its
 values in one flat buffer and all its gradients in another, each parameter
 being a reshaped view of both, so an Adam step or a zeroing is one pass over
 a buffer. Checkpoints use a small versioned binary container; see
-``save_checkpoint``.
+``save_checkpoint``. Every file the package writes goes through
+``atomic_open``, so it holds its old bytes or all of its new ones.
 
 Rows are batched: a layer, the MLP and ``softmax_nll`` take one row or a
 stack ``(B, ...)`` of rows through the same code, and a backward pass sums
@@ -19,8 +20,10 @@ and checked, so a caller that keeps a cdf draws from it without a re-check.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,6 +343,22 @@ def softmax_nll(logits: np.ndarray, target):
     return probs, loss, probs - onehot
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing. It replaces
+    ``path`` when the block ends cleanly and is removed when it raises, so
+    a reader sees the old file or the whole new one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     """Write a versioned container of named float64 arrays.
 
@@ -353,7 +372,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     header = {"params": [{"name": k, "shape": list(np.shape(v))}
                          for k, v in arrays.items()]}
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
         fh.write(len(blob).to_bytes(4, "little"))

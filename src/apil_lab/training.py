@@ -22,7 +22,7 @@ import numpy as np
 
 from .agent import PersonaAgent
 from .envs import ENVS, make_env
-from .nncore import draw
+from .nncore import atomic_open, draw
 from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                     HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
@@ -261,7 +261,7 @@ def write_csv(path, columns, rows) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from apil_lab import training
-from apil_lab.agent import PersonaAgent
+from apil_lab.agent import PersonaAgent, psd_factor
 from apil_lab.envs import GridPos
 from apil_lab.nncore import categorical_cdf, draw, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
@@ -132,11 +132,28 @@ def per_identity_mean_exe_policy(agent, features, n, rng):
 
 class UnmemoizedAgent(PersonaAgent):
     """Oracle of the agent's forward table: a ``PersonaAgent`` that builds
-    every entry (rho, its cdf, the policy rows and the mean policy) afresh
-    at each read, as the agent did before it kept the table."""
+    every entry (rho, its cdf, the logit posterior, the policy rows and the
+    mean policy) afresh at each read, as the agent did before it kept the
+    table. rho and the posterior are one-state forwards, not rows of the
+    agent's stacked fill."""
 
     def _entry(self, key, build):
         return build()
+
+    def _fill(self, kind, features):
+        return one_state_forward(self, kind, features)
+
+
+def one_state_forward(agent, kind, features):
+    """Oracle of a row of the agent's stacked fill: rho ``("rho",)`` or the
+    logit posterior ``("posterior",)`` at one state ``(in,)`` by a one-state
+    forward, whose factor follows ``logit_posterior``'s docstring."""
+    if kind == "rho":
+        return (softmax(agent.id_net.forward(features)[0]),)
+    h, _ = agent.exe_net.hidden_forward(features, np.arange(agent.n_teachers))
+    mean, _ = agent.exe_net.out.forward(h)
+    scaled = h / np.sqrt(agent.head_precision)[:, None, :]
+    return mean, psd_factor(scaled @ np.swapaxes(scaled, -1, -2))
 
 
 def per_row_exe_losses(agent, features, responses):

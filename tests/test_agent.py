@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import (per_identity_mean_exe_policy, per_row_exe_losses,
-                     sample_policy)
+from helpers import (one_state_forward, per_identity_mean_exe_policy,
+                     per_row_exe_losses, sample_policy)
 
 from apil_lab.agent import (HEAD_PRECISION_NAME, HIDDEN_WIDTH, PERSONA_DIM,
                             PRIOR_PRECISION, PersonaAgent)
@@ -236,6 +236,91 @@ def test_forward_table_outputs_are_read_only():
     for out in _one_state_outputs(agent, features, np.array([0, 1])):
         with pytest.raises(ValueError):
             out[0] = 1.0
+
+
+def _counting_stacks(agent):
+    """Record the (kind, rows) of each of the agent's stacked forwards."""
+    calls, stack = [], agent._stack
+
+    def counted(kind, features):
+        calls.append((kind, len(features)))
+        return stack(kind, features)
+    agent._stack = counted
+    return calls
+
+
+def _assert_one_state_entries(agent, states):
+    """Each state's rho and posterior entry is its one-state forward bitwise,
+    is read-only and is what a second read returns."""
+    for features in states:
+        for kind, got in (("rho", (agent.identity_probs(features),)),
+                          ("posterior", agent.logit_posterior(features))):
+            want = one_state_forward(agent, kind, features)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            for array in got:
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+        assert agent.identity_probs(features) is agent.identity_probs(features)
+        assert (agent.logit_posterior(features)
+                is agent.logit_posterior(features))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_fill_rows_equal_one_state_forwards(k):
+    """After an Adam step the first miss of rho, and of the posterior, fills
+    every known state in one stack, whose rows are the states' one-state
+    forwards; a state first seen after the fill gets a one-row stack and
+    joins the next one."""
+    rng = np.random.default_rng(20 + k)
+    agent = _fresh(n_teachers=k, seed=k)
+    states = list(rng.normal(size=(5, 25)))
+    calls = _counting_stacks(agent)
+    for features in states:
+        agent.identity_probs(features)
+        agent.logit_posterior(features)
+    assert calls == [("rho", 1), ("posterior", 1)] * 5
+    agent.exe_losses(np.stack(states[:2]),
+                     [TeacherResponse(1, j % k, 2.0) for j in range(2)])
+    agent.end_episode_update()
+    calls.clear()
+    _assert_one_state_entries(agent, states)
+    assert calls == [("rho", 5), ("posterior", 5)]
+    new = rng.normal(size=25)
+    _assert_one_state_entries(agent, [new])
+    assert calls[2:] == [("rho", 1), ("posterior", 1)]
+    agent.exe_losses(new[None], [TeacherResponse(0, k - 1, 1.0)])
+    agent.end_episode_update()
+    calls.clear()
+    _assert_one_state_entries(agent, [new, *states])
+    assert calls == [("rho", 6), ("posterior", 6)]
+
+
+def test_posterior_entries_follow_the_head_precision():
+    """The head precision's two writers drop the table: a read after
+    ``exe_losses`` and before the Adam step, and a read after a load that
+    changes only the precision, are fresh stacked computations bitwise."""
+    agent = _fresh(n_teachers=3)
+    states = np.random.default_rng(8).normal(size=(4, 25))
+
+    def assert_fresh():
+        means, factors = agent.logit_posterior(states)  # a stack: afresh
+        for features, mean, factor in zip(states, means, factors):
+            got = agent.logit_posterior(features)
+            assert got[0].tobytes() == mean.tobytes()
+            assert got[1].tobytes() == factor.tobytes()
+
+    assert_fresh()
+    precision = agent.head_precision.copy()
+    agent.exe_losses(states[:2], [TeacherResponse(0, 1, 2.0),
+                                  TeacherResponse(1, 2, 1.0)])
+    assert not np.array_equal(agent.head_precision, precision)
+    assert_fresh()
+    agent.end_episode_update()
+    assert_fresh()
+    arrays = agent.param_arrays()
+    arrays[HEAD_PRECISION_NAME] = 3.0 * arrays[HEAD_PRECISION_NAME]
+    agent.load_arrays(arrays)
+    assert_fresh()
 
 
 def test_episode_backward_equals_the_per_row_loop():

@@ -1,4 +1,5 @@
 """Unit tests for the dense-network substrate."""
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from helpers import PerParamAdam
 
 from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
-                             DropoutSpec, Embedding, ParamSet,
+                             DropoutSpec, Embedding, ParamSet, atomic_open,
                              categorical_cdf, draw, init_weight,
                              load_checkpoint,
                              sample_dropout_mask, save_checkpoint, softmax,
                              softmax_nll)
+from apil_lab.training import write_csv
 
 
 def test_dense_identity_weights_pass_input_through():
@@ -359,6 +361,33 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert list(loaded) == list(arrays)
     for name, value in arrays.items():
         assert np.array_equal(loaded[name], np.asarray(value))
+
+
+class _Unwritable:
+    """A value whose text form raises part way through a write."""
+
+    def __str__(self):
+        raise RuntimeError("unwritable value")
+
+
+@pytest.mark.parametrize("writer", ["csv", "checkpoint", "manifest json"])
+def test_a_write_that_raises_leaves_the_old_file(writer, tmp_path):
+    """A CSV, a checkpoint or a JSON document (as the sweep's manifest) that
+    fails after its first bytes leaves the old file and no temporary file."""
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes")
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
+        if writer == "csv":
+            write_csv(path, ["a"], [{"a": 1.0}, {"a": _Unwritable()}])
+        elif writer == "checkpoint":
+            save_checkpoint(path, {"w": np.zeros(3), "bad": np.array(["x"])})
+        else:
+            with atomic_open(path) as fh:
+                json.dump({"ok": 1, "bad": _Unwritable()}, fh)
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    write_csv(path, ["a"], [{"a": 1.0}])
+    assert path.read_text() == "a\n1.0\n"
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

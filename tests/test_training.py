@@ -67,16 +67,24 @@ def _checkpoint_arrays(result):
     return {**result.agent.param_arrays(), **result.policy.param_arrays()}
 
 
-@pytest.mark.parametrize("method,env,teacher,episodes", [
-    ("apil", "grid", "twodifdetm", 200), ("errpred", "maze", "tworand", 60),
-    ("dagger", "maze", "tworand", 60)])
-def test_forward_table_changes_no_output(method, env, teacher, episodes,
+# (method, env, teacher, episodes, tau): the maze asks at every step under
+# the default tau, so extrun's tau is low enough to leave steps that act
+_TABLE_CELLS = [("apil", "grid", "twodifdetm", 200, 0.5),
+                ("errpred", "maze", "tworand", 60, 0.5),
+                ("dagger", "maze", "tworand", 60, 0.5),
+                ("intrun", "grid", "tworand", 200, 0.5),
+                ("extrun", "maze", "tworand", 40, 0.001)]
+
+
+@pytest.mark.parametrize("method,env,teacher,episodes,tau", _TABLE_CELLS,
+                         ids=["-".join(map(str, c[:4])) for c in _TABLE_CELLS])
+def test_forward_table_changes_no_output(method, env, teacher, episodes, tau,
                                          tmp_path, monkeypatch):
     """A run with the agent's forward table writes the bytes and trains the
     arrays of a run that builds every table entry afresh, and each of its
     steps reads the same mean policy and mean-policy cdf."""
     cfg = RunConfig(method=method, env=env, teacher=teacher,
-                    episodes=episodes, seed=3, probe_every=20)
+                    episodes=episodes, tau=tau, seed=3, probe_every=20)
     original = training.rollout
 
     def recording(seen):
@@ -93,9 +101,10 @@ def test_forward_table_changes_no_output(method, env, teacher, episodes,
     monkeypatch.setattr(training, "rollout", recording(memo_steps))
     memo = run_training(cfg, out_path=tmp_path / "memo.csv")
     # episodes without a query keep the weights, so the table is reused;
-    # dagger queries every step, so its table is dropped every episode
+    # the others change the weights every episode, so the table is dropped
+    # and the next version's first miss of rho or the posterior fills it
     assert (any(row["query_rate"] == 0.0 for row in memo.rows)
-            == (method != "dagger"))
+            == (method in ("apil", "errpred")))
     monkeypatch.setattr(training, "PersonaAgent", UnmemoizedAgent)
     monkeypatch.setattr(training, "rollout", recording(fresh_steps))
     fresh = run_training(cfg, out_path=tmp_path / "fresh.csv")
