@@ -22,30 +22,29 @@ identity's logits takes A x K normals (mean + L z) instead of a weight-space
 draw of A x hidden.
 
 Rows are batched: ``identity_probs`` and ``logit_posterior`` take one state
-or a stack of states through one stacked forward, ``mean_exe_policy``
-evaluates its drawn identities in one forward, and ``exe_losses`` trains on
-an episode's queried steps as one ``(T, in)`` pass, so the head precision
+or a stack of states through one stacked forward, and ``exe_losses`` trains
+on an episode's queried steps as one ``(T, in)`` pass, so the head precision
 and the weights change together at episode end.
 
 The agent keeps a forward table of what one state's steps read at the mean
-weights: rho (``identity_probs``), rho's cdf, the logit posterior's mean and
-factor (``logit_posterior``), the policy rows of an exact identity vector
-(``policy_probs``), the mean policy of each vector of draw counts
-(``mean_exe_policy``) and that mean's cdf (``mean_policy_cdf``). Keys hold
-the state's bytes, since a ``(1, dim)`` matmul may round apart from a
-``(K, dim)`` one.
+weights: rho and its cdf (``identity_probs``), the policy rows of all K
+identities (``policy_probs``), the logit posterior's mean and factor
+(``logit_posterior``), the mean policy of each vector of draw counts
+(``mean_exe_policy``, all K rows mixed by the counts) and that mean's cdf
+(``mean_policy_cdf``). Keys hold the state's bytes, since a ``(1, dim)``
+matmul may round apart from a ``(K, dim)`` one.
 
-rho and the posterior depend only on the weights and the state, so they are
-filled by stack. The agent keeps the features of every state it has been
-asked about at one state; their number is the number of distinct states an
+rho, the policy rows and the posterior depend only on the weights and the
+state, so they are filled by stack. The agent keeps the features of every
+state it has been asked about at one state: at most the distinct states an
 env can show (24 on the 5x5 grid, 22 on the 6x6 maze), so the set has no
-cap. The first miss of either kind after a weight change evaluates it at
-every known state in one stacked pass, and each row becomes that state's
-entry; a state first seen at the current weights gets a one-row stack and
-joins the next fill. Each state of a stack is a ``(1, in)`` row of its own,
-so a row's bits do not depend on the other rows. The policy rows and the
-mean are left per state: a forward of a subset of the identities is not
-bitwise a row of the all-K forward.
+cap. The first miss of a kind after a weight change evaluates it at every
+known state in one stacked pass, and each row becomes that state's entry; a
+state first seen at the current weights gets a one-row stack and joins the
+next fill. Each state of a stack is a ``(1, in)`` row of its own, so a row's
+bits do not depend on the other rows. A posterior fill also writes the
+policy rows, the softmax of its mean logits, so a method that reads both
+runs one policy-net forward per weight change.
 
 Its one invariant: every entry is read through ``_entry``, which drops the
 table when either net's ``ParamSet.version`` moves. Weights change only
@@ -91,6 +90,7 @@ class PersonaAgent:
         self._table_version = None
         self._filled: set[str] = set()  # kinds filled at the table's version
         self._known: dict[bytes, np.ndarray] = {}  # features by their bytes
+        self._known_rows = None  # their stack, rebuilt when a state joins
 
     # ---------------------------------------------------------------- forward
 
@@ -118,29 +118,41 @@ class PersonaAgent:
         """The entry of ``kind`` at a state that missed. The first miss of
         ``kind`` at the current weights evaluates it at every known state in
         one stack and writes each state's row; a later miss is a state first
-        seen since, which gets a one-row stack."""
+        seen since, which gets a one-row stack. A posterior fill also writes
+        the policy rows, the softmax of its mean logits."""
         state = features.tobytes()
-        self._known.setdefault(state, features.copy())
+        if state not in self._known:
+            self._known[state] = features.copy()
+            self._known_rows = np.stack(list(self._known.values()))
         if kind in self._filled:
             return tuple(x[0] for x in self._stack(kind, features[None]))
-        self._filled.add(kind)
-        stack = _read_only(self._stack(
-            kind, np.stack(list(self._known.values()))))
-        for known, row in zip(self._known, zip(*stack)):
-            self._table[(kind, known)] = row  # read-only views of the stack
+        stack = self._stack(kind, self._known_rows)
+        self._write(kind, stack)
+        if kind == "posterior" and "policy" not in self._filled:
+            self._write("policy", (softmax(stack[0]),))
         return self._table[(kind, state)]
+
+    def _write(self, kind: str, stack: tuple) -> None:
+        """Each known state's row of ``stack`` becomes its entry of ``kind``."""
+        self._filled.add(kind)
+        for known, row in zip(self._known, zip(*_read_only(stack))):
+            self._table[(kind, known)] = row  # read-only views of the stack
 
     def _stack(self, kind: str, features: np.ndarray) -> tuple:
         """The arrays of ``kind`` at each state of a stack ``(S, in)``, each
-        with S rows: ``(rho,)`` for "rho", ``(mean, factor)`` for
-        "posterior". Each state is a ``(1, in)`` row of its own, so its row
-        does not depend on the rest of the stack."""
+        with S rows: ``(rho, cdf)`` for "rho", ``(policy,)`` for "policy"
+        and ``(mean, factor)`` for "posterior". Each state is a ``(1, in)``
+        row of its own, so its row does not depend on the rest of the
+        stack."""
         x = features[:, None, :]
         if kind == "rho":
             logits, _ = self.id_net.forward(x)
-            return (softmax(logits[:, 0]),)
+            rho = softmax(logits[:, 0])
+            return rho, categorical_cdf(rho, stack=True)
         h, _ = self.exe_net.hidden_forward(x, np.arange(self.n_teachers))
         mean, _ = self.exe_net.out.forward(h)
+        if kind == "policy":
+            return (softmax(mean),)
         scaled = h[:, None] / np.sqrt(self.head_precision)[:, None, :]
         return mean, psd_factor(scaled @ np.swapaxes(scaled, -1, -2))
 
@@ -150,12 +162,10 @@ class PersonaAgent:
         return self._per_state("rho", features)[0]
 
     def policy_probs(self, features: np.ndarray, identity) -> np.ndarray:
-        """Policy at one state under the mean weights: an int identity gives
-        ``(A,)``, a vector of K identities ``(K, A)``."""
-        ids = np.asarray(identity)
-        return self._entry((features.tobytes(), ids.shape, ids.tobytes()),
-                           lambda: softmax(self.exe_net.forward(
-                               features, identity)[0]))
+        """Policy at one state under the mean weights, rows of the all-K
+        entry: an int identity gives ``(A,)``, a vector of identities one
+        row each. Both are read-only."""
+        return _read_only(self._per_state("policy", features)[0][identity])
 
     def logit_posterior(self, features: np.ndarray):
         """The head posterior in logit space, at one state ``(in,)`` or at
@@ -173,22 +183,17 @@ class PersonaAgent:
                         rng: np.random.Generator) -> np.ndarray:
         """Arithmetic mean of ``n`` sampled policies (no posterior sampling).
 
-        The ``n`` identities are drawn from rho's table cdf; the mean of each
-        vector of their counts is kept in the table, so a state's repeat draw
-        reads it. Its drawn identities are evaluated in one forward and mixed
-        by their draw counts.
+        The ``n`` identities are drawn from rho's table cdf, and all K
+        policy rows are mixed by their draw counts; the mean of each vector
+        of counts is kept in the table, so a state's repeat draw reads it.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        state = features.tobytes()
-        cdf = self._entry(("cdf", state), lambda: categorical_cdf(
-            self.identity_probs(features)))
+        cdf = self._per_state("rho", features)[1]
         counts = np.bincount(draw(cdf, rng, n), minlength=self.n_teachers)
-
-        def mean():
-            drawn = np.flatnonzero(counts)
-            return (counts[drawn] / n) @ self.policy_probs(features, drawn)
-        return self._entry(("mean", state, counts.tobytes()), mean)
+        return self._entry(
+            ("mean", features.tobytes(), counts.tobytes()),
+            lambda: (counts / n) @ self._per_state("policy", features)[0])
 
     def mean_policy_cdf(self, mean: np.ndarray) -> np.ndarray:
         """The table's cdf of a mean policy that ``mean_exe_policy`` gave,

@@ -298,23 +298,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def categorical_cdf(p: np.ndarray) -> np.ndarray:
-    """Normalized cdf of a probability vector, checked as ``Generator.choice`` does.
+def categorical_cdf(p: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Normalized cdf of a probability vector, checked as ``Generator.choice``
+    does; with ``stack``, the cdf of each row of a stack ``(S, n)``, each row
+    checked so. A row's bits are those of its own 1-d call.
 
-    Raises ``ValueError`` unless ``p`` is finite and non-negative with a sum
-    within sqrt(eps) of 1. Two reductions decide; NaN fails both.
+    Raises ``ValueError`` unless every vector is finite and non-negative with
+    a sum within sqrt(eps) of 1. Two reductions decide; NaN fails both.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a non-empty 1-d vector")
-    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= CDF_SUM_TOLERANCE):
+    if p.ndim != (2 if stack else 1) or p.shape[-1] == 0:
+        raise ValueError("probabilities must be a " + (
+            "stack of non-empty rows" if stack else "non-empty 1-d vector"))
+    # a stack's worst row decides; a vector keeps the scalar path
+    error = abs(p.sum(axis=-1) - 1.0).max() if stack else abs(p.sum() - 1.0)
+    if not (p.min() >= 0.0 and error <= CDF_SUM_TOLERANCE):
         if not np.isfinite(p).all():
             raise ValueError("probabilities must be finite")
         if (p < 0.0).any():
             raise ValueError("probabilities must be non-negative")
         raise ValueError("probabilities do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[:, -1:] if stack else cdf[-1]
     return cdf
 
 

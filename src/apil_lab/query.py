@@ -278,27 +278,15 @@ class HindsightQueryPolicy(QueryPolicyBase):
         self.net.mlp.params.load_arrays(arrays)
 
 
-THRESHOLD_KINDS = ("intrun", "extrun", "behvun")
-
-
-def threshold_decision(kind: str, tau: float, report) -> int:
-    """Query iff the selected uncertainty strictly exceeds tau."""
-    if kind == "intrun":
-        value = report.intrinsic
-    elif kind == "extrun":
-        value = report.extrinsic
-    elif kind == "behvun":
-        value = report.behavioral
-    else:
-        raise ValueError(f"unknown threshold kind {kind!r}")
-    return ASK_QUERY if value > tau else ASK_CONTINUE
-
-
 class ThresholdQueryPolicy(QueryPolicyBase):
-    """Queries when a per-step posterior uncertainty estimate exceeds tau."""
+    """Queries iff the per-step posterior uncertainty of its kind strictly
+    exceeds tau."""
+
+    FIELDS = {"intrun": "intrinsic", "extrun": "extrinsic",
+              "behvun": "behavioral"}  # kind -> report field
 
     def __init__(self, kind: str, tau: float, ucfg):
-        if kind not in THRESHOLD_KINDS:
+        if kind not in self.FIELDS:
             raise ValueError(f"unknown threshold kind {kind!r}")
         self.kind = kind
         self.tau = tau
@@ -307,7 +295,8 @@ class ThresholdQueryPolicy(QueryPolicyBase):
     def decide(self, ctx: DecisionContext) -> int:
         from .uncertainty import estimate
         report = estimate(ctx.agent, ctx.features, self.ucfg, ctx.rng)
-        return threshold_decision(self.kind, self.tau, report)
+        value = getattr(report, self.FIELDS[self.kind])
+        return ASK_QUERY if value > self.tau else ASK_CONTINUE
 
 
 class ErrPredQueryPolicy(QueryPolicyBase):

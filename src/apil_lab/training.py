@@ -144,7 +144,7 @@ def make_query_policy(cfg: RunConfig, env, rng: np.random.Generator):
         return AlwaysQueryPolicy()
     if cfg.method == "dagger":
         return DaggerPolicy()
-    if cfg.method in ("intrun", "extrun", "behvun"):
+    if cfg.method in ThresholdQueryPolicy.FIELDS:
         return ThresholdQueryPolicy(cfg.method, cfg.tau, cfg.uncertainty)
     if cfg.method == "errpred":
         net = ErrPredNet(env.state_dim, env.n_actions, rng, lr=cfg.lr)

@@ -119,7 +119,7 @@ def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
 
 
 def per_identity_mean_exe_policy(agent, features, n, rng):
-    """Loop oracle for ``agent.mean_exe_policy``: one forward per identity
+    """Loop oracle for ``agent.mean_exe_policy``: one policy row per identity
     drawn, accumulated in ascending identity order."""
     rho = agent.identity_probs(features)
     counts = np.bincount(draw(categorical_cdf(rho), rng, n),
@@ -132,10 +132,10 @@ def per_identity_mean_exe_policy(agent, features, n, rng):
 
 class UnmemoizedAgent(PersonaAgent):
     """Oracle of the agent's forward table: a ``PersonaAgent`` that builds
-    every entry (rho, its cdf, the logit posterior, the policy rows and the
-    mean policy) afresh at each read, as the agent did before it kept the
-    table. rho and the posterior are one-state forwards, not rows of the
-    agent's stacked fill."""
+    every entry (rho and its cdf, the policy rows, the logit posterior, the
+    mean policy and its cdf) afresh at each read, as the agent did before it
+    kept the table. rho, the policy rows and the posterior are one-state
+    forwards, not rows of the agent's stacked fill."""
 
     def _entry(self, key, build):
         return build()
@@ -145,13 +145,18 @@ class UnmemoizedAgent(PersonaAgent):
 
 
 def one_state_forward(agent, kind, features):
-    """Oracle of a row of the agent's stacked fill: rho ``("rho",)`` or the
-    logit posterior ``("posterior",)`` at one state ``(in,)`` by a one-state
-    forward, whose factor follows ``logit_posterior``'s docstring."""
+    """Oracle of a row of the agent's stacked fill at one state ``(in,)`` by
+    a one-state forward: rho and its 1-d cdf ``("rho",)``, the softmax of
+    the all-K logits ``("policy",)`` or the logit posterior
+    ``("posterior",)``, whose factor follows ``logit_posterior``'s
+    docstring."""
     if kind == "rho":
-        return (softmax(agent.id_net.forward(features)[0]),)
+        rho = softmax(agent.id_net.forward(features)[0])
+        return rho, categorical_cdf(rho)
     h, _ = agent.exe_net.hidden_forward(features, np.arange(agent.n_teachers))
     mean, _ = agent.exe_net.out.forward(h)
+    if kind == "policy":
+        return (softmax(mean),)
     scaled = h / np.sqrt(agent.head_precision)[:, None, :]
     return mean, psd_factor(scaled @ np.swapaxes(scaled, -1, -2))
 

@@ -78,10 +78,24 @@ def test_sample_policy_is_seeded():
 
 
 def test_mean_policy_of_two_deltas_approaches_half():
-    agent = _fresh()
-    agent.identity_probs = lambda features: np.array([0.5, 0.5])
-    agent.policy_probs = lambda features, k: np.eye(2)[k]
-    mean = agent.mean_exe_policy(np.zeros(25), 10_000, np.random.default_rng(0))
+    """The mean mixes the policy rows the agent's fill gives by the draw
+    counts from rho's cdf. Identities 0 and 1 put all mass on action 0 and
+    identity 2 on action 1, and rho is (1/4, 1/4, 1/2), so the mean nears
+    (1/2, 1/2); equal weights on the K rows would give (2/3, 1/3)."""
+    agent = _fresh(n_teachers=3)
+    rho, rows = np.array([0.25, 0.25, 0.5]), np.eye(2)[[0, 0, 1]]
+
+    def steered(kind, features):
+        assert kind in ("rho", "policy")  # the mean reads nothing else
+        if kind == "rho":
+            stack = np.tile(rho, (len(features), 1))
+            return stack, categorical_cdf(stack, stack=True)
+        return (np.tile(rows, (len(features), 1, 1)),)
+    agent._stack = steered
+    features = np.zeros(25)
+    mean = agent.mean_exe_policy(features, 10_000, np.random.default_rng(0))
+    assert np.array_equal(agent.identity_probs(features), rho)
+    assert np.array_equal(agent.policy_probs(features, 2), rows[2])
     assert 0.48 <= mean[0] <= 0.52
     assert abs(mean.sum() - 1.0) <= 1e-9
 
@@ -163,77 +177,99 @@ def test_logit_factor_reproduces_the_weight_space_covariance():
             assert not factor.any()
 
 
-def _one_state_outputs(agent, features, identities):
-    """rho, the policy rows of ``identities``, rho's cdf, a mean policy and
-    its cdf: each one of the agent's forward-table entries."""
+def _table_entries(agent, features):
+    """rho, rho's cdf, the all-K policy rows, a mean policy and its cdf: the
+    agent's forward-table entries at one state."""
     mean = agent.mean_exe_policy(features, 5, np.random.default_rng(0))
-    return (agent.identity_probs(features),
-            agent.policy_probs(features, identities),
-            agent._table[("cdf", features.tobytes())], mean,
+    state = features.tobytes()
+    return (agent.identity_probs(features), agent._table[("rho", state)][1],
+            agent._table[("policy", state)][0], mean,
             agent.mean_policy_cdf(mean))
 
 
-def _assert_direct_forwards(agent, features, identities):
-    rho, probs, cdf, mean, mean_cdf = _one_state_outputs(agent, features,
-                                                         identities)
-    direct_rho = softmax(agent.id_net.forward(features)[0])
-    assert np.array_equal(rho, direct_rho)
-    assert np.array_equal(cdf, categorical_cdf(direct_rho))
-    assert np.array_equal(
-        probs, softmax(agent.exe_net.forward(features, identities)[0]))
-    counts = np.bincount(draw(cdf, np.random.default_rng(0), 5), minlength=2)
-    drawn = np.flatnonzero(counts)
-    assert np.array_equal(mean, (counts[drawn] / 5) @ softmax(
-        agent.exe_net.forward(features, drawn)[0]))
-    assert np.array_equal(mean_cdf, categorical_cdf(mean))
+def _assert_direct_forwards(agent, states, identities):
+    """At each state every entry, and the rows of ``identities``, equal the
+    one-state forwards bitwise; the policy rows are rows of the all-K
+    forward, which a forward of a subset of the identities may round apart
+    from at some states."""
+    for features in states:
+        rho, cdf, rows, mean, mean_cdf = _table_entries(agent, features)
+        direct_rho = softmax(agent.id_net.forward(features)[0])
+        direct_rows = softmax(agent.exe_net.forward(
+            features, np.arange(agent.n_teachers))[0])
+        assert np.array_equal(rho, direct_rho)
+        assert np.array_equal(cdf, categorical_cdf(direct_rho))
+        assert rows.tobytes() == direct_rows.tobytes()
+        assert (agent.policy_probs(features, identities).tobytes()
+                == direct_rows[identities].tobytes())
+        assert np.array_equal(mean_cdf, categorical_cdf(mean))
+        # a mean of one draw is a single identity's row
+        one = agent.mean_exe_policy(features, 1, np.random.default_rng(0))
+        for n, got in ((5, mean), (1, one)):
+            counts = np.bincount(draw(cdf, np.random.default_rng(0), n),
+                                 minlength=agent.n_teachers)
+            assert got.tobytes() == ((counts / n) @ direct_rows).tobytes()
+
+
+def _outputs(agent, states, identities):
+    return [(*_table_entries(agent, features),
+             agent.policy_probs(features, identities)) for features in states]
+
+
+def _assert_all_moved(before, after):
+    for b, a in zip(before, after):
+        assert not any(np.array_equal(x, y) for x, y in zip(b, a))
 
 
 @pytest.mark.parametrize("identities", [0, np.array([1]), np.array([0, 1])])
 def test_forward_table_follows_an_adam_step(identities):
     agent = _fresh()
-    features = np.random.default_rng(1).normal(size=25)
-    before = [a.copy() for a in _one_state_outputs(agent, features,
-                                                    identities)]
-    agent.exe_losses(features[None], [TeacherResponse(1, 1, 2.0)])
+    states = np.random.default_rng(1).normal(size=(8, 25))
+    before = [[x.copy() for x in out]
+              for out in _outputs(agent, states, identities)]
+    agent.exe_losses(states[:1], [TeacherResponse(1, 1, 2.0)])
     agent.end_episode_update()
-    _assert_direct_forwards(agent, features, identities)
-    after = _one_state_outputs(agent, features, identities)
-    assert not any(np.array_equal(b, a) for b, a in zip(before, after))
+    _assert_direct_forwards(agent, states, identities)
+    _assert_all_moved(before, _outputs(agent, states, identities))
 
 
 @pytest.mark.parametrize("identities", [0, np.array([1]), np.array([0, 1])])
 def test_forward_table_follows_load_arrays(identities):
     agent = _fresh()
-    features = np.random.default_rng(1).normal(size=25)
-    before = [a.copy() for a in _one_state_outputs(agent, features,
-                                                    identities)]
+    states = np.random.default_rng(1).normal(size=(8, 25))
+    before = [[x.copy() for x in out]
+              for out in _outputs(agent, states, identities)]
     agent.load_arrays(_fresh(seed=1).param_arrays())
-    _assert_direct_forwards(agent, features, identities)
-    after = _one_state_outputs(agent, features, identities)
-    assert not any(np.array_equal(b, a) for b, a in zip(before, after))
+    _assert_direct_forwards(agent, states, identities)
+    _assert_all_moved(before, _outputs(agent, states, identities))
 
 
 def test_forward_table_is_kept_across_an_episode_without_a_query():
     env, committee = make_env("grid", None), make_committee("twodifdetm")
     agent = _fresh(state_dim=env.state_dim)
     features = env.encode(env.reset())
-    drawn = np.array([0, 1])
-    before = _one_state_outputs(agent, features, drawn)
+    before = _table_entries(agent, features)
     traj, metrics = run_episode(agent, committee, env, NeverQueryPolicy(),
                                 np.random.default_rng(0))
     assert metrics.query_rate == 0.0
     assert traj.steps[0].features.tobytes() == features.tobytes()
-    after = _one_state_outputs(agent, features, drawn)
+    after = _table_entries(agent, features)
     assert all(b is a for b, a in zip(before, after))
-    # one identity and a vector of it are separate entries
-    assert agent.policy_probs(features, 0).shape == (2,)
-    assert agent.policy_probs(features, np.array([0])).shape == (1, 2)
+    # one identity and a vector of it are rows of the one all-K entry
+    rows = after[2]
+    for identity in (0, np.array([0]), np.array([1, 0])):
+        got = agent.policy_probs(features, identity)
+        assert got.shape == rows[identity].shape
+        assert got.tobytes() == rows[identity].tobytes()
+    assert np.shares_memory(agent.policy_probs(features, 1), rows)
 
 
 def test_forward_table_outputs_are_read_only():
     agent = _fresh()
     features = np.zeros(25)
-    for out in _one_state_outputs(agent, features, np.array([0, 1])):
+    for out in (*_table_entries(agent, features),
+                agent.policy_probs(features, 0),
+                agent.policy_probs(features, np.array([0, 1]))):
         with pytest.raises(ValueError):
             out[0] = 1.0
 
@@ -249,50 +285,66 @@ def _counting_stacks(agent):
     return calls
 
 
-def _assert_one_state_entries(agent, states):
-    """Each state's rho and posterior entry is its one-state forward bitwise,
-    is read-only and is what a second read returns."""
+def _assert_one_state_entries(agent, states,
+                              kinds=("rho", "policy", "posterior")):
+    """Each state's rho and cdf, all-K policy rows and posterior entry, read
+    in the order of ``kinds``, is its one-state forward bitwise, is
+    read-only and is what a second read returns, and the public reads
+    return it."""
     for features in states:
-        for kind, got in (("rho", (agent.identity_probs(features),)),
-                          ("posterior", agent.logit_posterior(features))):
+        for kind in kinds:
+            got = agent._per_state(kind, features)
             want = one_state_forward(agent, kind, features)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
             for array in got:
                 with pytest.raises(ValueError):
                     array[...] = 0.0
-        assert agent.identity_probs(features) is agent.identity_probs(features)
+            assert agent._per_state(kind, features) is got
+        assert (agent.identity_probs(features)
+                is agent._per_state("rho", features)[0])
+        assert (agent.policy_probs(features, np.arange(agent.n_teachers))
+                .tobytes() == agent._per_state("policy", features)[0]
+                .tobytes())
         assert (agent.logit_posterior(features)
-                is agent.logit_posterior(features))
+                is agent._per_state("posterior", features))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stacked_fill_rows_equal_one_state_forwards(k):
-    """After an Adam step the first miss of rho, and of the posterior, fills
-    every known state in one stack, whose rows are the states' one-state
-    forwards; a state first seen after the fill gets a one-row stack and
-    joins the next one."""
+    """After an Adam step the first miss of rho (with its cdf), of the
+    policy rows and of the posterior each fills every known state in one
+    stack, whose rows are the states' one-state forwards; a state first seen
+    after the fill gets a one-row stack and joins the next one. A posterior
+    fill that comes first writes the policy rows too."""
     rng = np.random.default_rng(20 + k)
     agent = _fresh(n_teachers=k, seed=k)
     states = list(rng.normal(size=(5, 25)))
     calls = _counting_stacks(agent)
+    kinds = ("rho", "policy", "posterior")
     for features in states:
         agent.identity_probs(features)
+        agent.policy_probs(features, 0)
         agent.logit_posterior(features)
-    assert calls == [("rho", 1), ("posterior", 1)] * 5
+    assert calls == [(kind, 1) for kind in kinds] * 5
     agent.exe_losses(np.stack(states[:2]),
                      [TeacherResponse(1, j % k, 2.0) for j in range(2)])
     agent.end_episode_update()
     calls.clear()
     _assert_one_state_entries(agent, states)
-    assert calls == [("rho", 5), ("posterior", 5)]
+    assert calls == [(kind, 5) for kind in kinds]
     new = rng.normal(size=25)
     _assert_one_state_entries(agent, [new])
-    assert calls[2:] == [("rho", 1), ("posterior", 1)]
+    assert calls[3:] == [(kind, 1) for kind in kinds]
     agent.exe_losses(new[None], [TeacherResponse(0, k - 1, 1.0)])
     agent.end_episode_update()
     calls.clear()
     _assert_one_state_entries(agent, [new, *states])
-    assert calls == [("rho", 6), ("posterior", 6)]
+    assert calls == [(kind, 6) for kind in kinds]
+    agent.exe_losses(new[None], [TeacherResponse(1, 0, 1.0)])
+    agent.end_episode_update()
+    calls.clear()
+    _assert_one_state_entries(agent, [new, *states], kinds[::-1])
+    assert calls == [("posterior", 6), ("rho", 6)]
 
 
 def test_posterior_entries_follow_the_head_precision():

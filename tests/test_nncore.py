@@ -115,6 +115,30 @@ def test_categorical_rejects_what_choice_rejects():
     categorical_cdf(np.array([0.5, 0.5 + 1e-9]))  # within sqrt(eps) of 1
 
 
+def test_categorical_cdf_of_a_stack_equals_its_rows():
+    """A stack's cdf rows are the rows' 1-d cdfs bitwise, and each row is
+    checked as a 1-d call checks it."""
+    rng = np.random.default_rng(1)
+    for trial in range(20):
+        p = rng.random((int(rng.integers(1, 9)), int(rng.integers(1, 7))))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[:, 0] += 1e-3
+        p /= p.sum(axis=1, keepdims=True)
+        stacked = categorical_cdf(p, stack=True)
+        assert stacked.shape == p.shape
+        for row, cdf in zip(p, stacked):
+            assert categorical_cdf(row).tobytes() == cdf.tobytes()
+    good = [0.25, 0.75]
+    for bad, message in (([np.nan, 1.0], "finite"),
+                         ([1.5, -0.5], "non-negative"),
+                         ([0.5, 0.4], "sum to 1")):
+        with pytest.raises(ValueError, match=message):
+            categorical_cdf(np.array([good, bad, good]), stack=True)
+    for shape in ((2,), (2, 0), (1, 2, 2)):
+        with pytest.raises(ValueError, match="stack of non-empty rows"):
+            categorical_cdf(np.full(shape, 0.5), stack=True)
+
+
 @pytest.mark.parametrize("bad,message", [
     ([np.nan, 1.0], "finite"), ([np.nan, np.nan], "finite"),
     ([np.inf, 0.0], "finite"), ([1.5, -0.5], "non-negative"),

@@ -7,13 +7,14 @@ import pytest
 from helpers import (brute_force_labels, lemma2_gradient_check,
                      make_trajectory)
 
+from apil_lab import uncertainty
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                             DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                             HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
                             StepRecord, ThresholdQueryPolicy, Trajectory,
                             apil_labels, ignore_labels, progress_flags,
-                            query_imitation_loss, threshold_decision)
+                            query_imitation_loss)
 from apil_lab.uncertainty import UncertaintyConfig
 
 CFG = ApilConfig()  # sigma 2, epsilon 0, teacher final distance 0
@@ -178,16 +179,24 @@ def test_errpred_policy_trains_on_the_queried_steps():
     assert loss == pytest.approx(0.8 ** 2, abs=1e-12)
 
 
-def test_threshold_decision_rules():
+def test_threshold_decision_rules(monkeypatch):
+    """Each kind reads its report field, and a step queries iff it strictly
+    exceeds tau; an unknown kind fails at construction."""
     report = SimpleNamespace(intrinsic=0.8, extrinsic=0.0, behavioral=0.3)
-    assert threshold_decision("intrun", 0.5, report) == ASK_QUERY
-    assert threshold_decision("extrun", 0.5, report) == ASK_CONTINUE
-    assert threshold_decision("intrun", 0.8, report) == ASK_CONTINUE  # strict
-    assert threshold_decision("behvun", 0.2, report) == ASK_QUERY
-    with pytest.raises(ValueError, match="unknown threshold kind"):
-        threshold_decision("bogus", 0.5, report)
-    with pytest.raises(ValueError, match="unknown threshold kind"):
-        ThresholdQueryPolicy("bogus", 0.5, UncertaintyConfig())
+    monkeypatch.setattr(uncertainty, "estimate", lambda *args: report)
+
+    def decide(kind, tau):
+        return ThresholdQueryPolicy(kind, tau, UncertaintyConfig()).decide(
+            _ctx())
+    assert decide("intrun", 0.5) == ASK_QUERY
+    assert decide("extrun", 0.5) == ASK_CONTINUE
+    assert decide("intrun", 0.8) == ASK_CONTINUE  # strict
+    assert decide("behvun", 0.2) == ASK_QUERY
+    assert decide("behvun", 0.3) == ASK_CONTINUE  # strict
+    assert decide("extrun", -0.1) == ASK_QUERY
+    for bogus in ("bogus", "intrinsic"):
+        with pytest.raises(ValueError, match="unknown threshold kind"):
+            ThresholdQueryPolicy(bogus, 0.5, UncertaintyConfig())
 
 
 def test_policy_flags_and_fixed_decisions():

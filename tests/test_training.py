@@ -6,13 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import UnmemoizedAgent, tune_tau
+from helpers import UnmemoizedAgent, free_cells, tune_tau
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apil_lab import training
 from apil_lab.agent import PersonaAgent
-from apil_lab.envs import GridWorld, make_env
+from apil_lab.envs import EnvState, GridPos, GridWorld, make_env
 from apil_lab.query import (ASK_CONTINUE, AlwaysQueryPolicy, ApilConfig,
                             DaggerPolicy, ErrPredQueryPolicy,
                             HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
@@ -119,6 +119,25 @@ def test_forward_table_changes_no_output(method, env, teacher, episodes, tau,
     assert got.keys() == want.keys()
     for name in want:
         assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("method,env,teacher,cells", [
+    ("dagger", "maze", "tworand", 22), ("apil", "grid", "twodifdetm", 24)])
+def test_known_states_are_the_non_goal_cells(method, env, teacher, cells):
+    """The agent's known-state set, which the stacked fill walks and which
+    has no cap, holds only encodings of the env's non-goal cells (22 on the
+    maze, 24 on the grid) after a 300-episode cell."""
+    result = run_training(RunConfig(method=method, env=env, teacher=teacher,
+                                    episodes=300, seed=0))
+    env = result.env
+    goal = env.reset().goal
+    grid = [GridPos(r, c) for r in range(GridWorld.side)
+            for c in range(GridWorld.side)]
+    free = grid if isinstance(env, GridWorld) else free_cells(env)
+    non_goal = {env.encode(EnvState(pos, goal, 0, False)).tobytes()
+                for pos in free if pos != goal}
+    assert len(non_goal) == cells
+    assert set(result.agent._known) <= non_goal
 
 
 def test_d_star_is_rolled_out_only_for_a_hindsight_policy(monkeypatch):
