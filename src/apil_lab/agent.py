@@ -21,15 +21,16 @@ mean logits and a Cholesky factor L of each covariance, so a draw of every
 identity's logits takes A x K normals (mean + L z) instead of a weight-space
 draw of A x hidden.
 
-Rows are batched: ``identity_probs`` and ``logit_posterior`` take one state
-or a stack of states through one stacked forward, and ``exe_losses`` trains
-on an episode's queried steps as one ``(T, in)`` pass, so the head precision
-and the weights change together at episode end.
+Rows are batched: ``identity_probs``, ``identity_cdf`` and
+``logit_posterior`` take one state or a stack of states through one stacked
+forward, and ``exe_losses`` trains on an episode's queried steps as one
+``(T, in)`` pass, so the head precision and the weights change together at
+episode end.
 
 The agent keeps a forward table of what one state's steps read at the mean
-weights: rho and its cdf (``identity_probs``), the policy rows of all K
-identities (``policy_probs``), the logit posterior's mean and factor
-(``logit_posterior``), the mean policy of each vector of draw counts
+weights: rho and its cdf (``identity_probs``, ``identity_cdf``), the policy
+rows of all K identities (``policy_probs``), the logit posterior's mean and
+factor (``logit_posterior``), the mean policy of each vector of draw counts
 (``mean_exe_policy``, all K rows mixed by the counts) and that mean's cdf
 (``mean_policy_cdf``). Keys hold the state's bytes, since a ``(1, dim)``
 matmul may round apart from a ``(K, dim)`` one.
@@ -161,6 +162,12 @@ class PersonaAgent:
         K)``."""
         return self._per_state("rho", features)[0]
 
+    def identity_cdf(self, features: np.ndarray) -> np.ndarray:
+        """rho's cdf as ``nncore.categorical_cdf`` builds it, read from the
+        table at one state ``(K,)`` or computed with rho at each state of a
+        stack ``(S, K)``; ``nncore.draw`` takes it as it is."""
+        return self._per_state("rho", features)[1]
+
     def policy_probs(self, features: np.ndarray, identity) -> np.ndarray:
         """Policy at one state under the mean weights, rows of the all-K
         entry: an int identity gives ``(A,)``, a vector of identities one
@@ -189,7 +196,7 @@ class PersonaAgent:
         """
         if n < 1:
             raise ValueError("n must be positive")
-        cdf = self._per_state("rho", features)[1]
+        cdf = self.identity_cdf(features)
         counts = np.bincount(draw(cdf, rng, n), minlength=self.n_teachers)
         return self._entry(
             ("mean", features.tobytes(), counts.tobytes()),

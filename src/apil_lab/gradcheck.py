@@ -96,7 +96,7 @@ def check_embedding(rng: np.random.Generator, rows: int | None = None) -> float:
     def backward():
         logits, cache = out.forward(table.forward(index))
         _, _, dlogits = softmax_nll(logits, target)
-        table.backward(index, out.backward(cache, dlogits)[0])
+        table.backward(index, out.backward(cache, dlogits, block=0))
 
     err = check_params(params, backward, loss_fn)
     params.zero_grad()

@@ -1,26 +1,25 @@
 """Command-line harness: train, eval, sweep, uncertainty-report, report, gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 run failure, 3 acceptance-check failure.
+
+A module that only one command uses is imported inside that command, so
+importing the CLI stays fast.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import json
 import os
 import re
-import subprocess
 import sys
 from dataclasses import asdict, replace
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
 from . import training
 from .envs import ENVS
-from .gradcheck import run_all as run_gradchecks
 from .nncore import atomic_open, load_checkpoint, save_checkpoint
 from .query import NeverQueryPolicy
 from .teachers import TEACHER_MODELS
@@ -269,6 +268,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    import concurrent.futures
     jobs = args.jobs or os.cpu_count() or 1
     statuses = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -305,6 +305,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def _describe_version() -> str:
+    import subprocess
+    from importlib import metadata
     try:
         described = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -463,7 +465,8 @@ def cmd_report(args, _cfg) -> int:
 
 
 def cmd_gradcheck(args, _cfg) -> int:
-    results = run_gradchecks(seed=args.seed, cases=args.cases)
+    from .gradcheck import run_all
+    results = run_all(seed=args.seed, cases=args.cases)
     ok = True
     for name, worst, passed in results:
         status = "ok" if passed else "FAIL"

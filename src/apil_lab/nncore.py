@@ -13,7 +13,9 @@ a buffer. Checkpoints use a small versioned binary container; see
 Rows are batched: a layer, the MLP and ``softmax_nll`` take one row or a
 stack ``(B, ...)`` of rows through the same code, and a backward pass sums
 its rows' gradients. A stack's float sums may differ from a loop over its
-rows in the last bits (a GEMM in place of B GEMVs).
+rows in the last bits (a GEMM in place of B GEMVs). A Dense backward
+computes d(input) only of the input block its caller reads: the MLP reads
+its out layer's input and the embedding block, never a data block.
 
 ``draw`` is the one sampler. It takes a cdf that ``categorical_cdf`` built
 and checked, so a caller that keeps a cdf draws from it without a re-check.
@@ -170,22 +172,23 @@ class Dense:
         y = np.tanh(z) if self.activation == "tanh" else z
         return y, (blocks, y)
 
-    def backward(self, cache, dy: np.ndarray) -> list[np.ndarray]:
-        """Accumulate the gradients summed over rows; return d(input), one
-        array per input block. Every block must have the rows of ``dy``."""
+    def backward(self, cache, dy: np.ndarray, block: int | None = None):
+        """Accumulate the gradients summed over rows. Return d(input) of the
+        input block numbered ``block`` (negative counts from the last), or
+        None when no block is given: a caller gets only the block it reads.
+        Every block must have the rows of ``dy``."""
         blocks, y = cache
         dz = dy * (1.0 - y * y) if self.activation == "tanh" else dy
         rows = dz.reshape(-1, dz.shape[-1])
-        w = self.w.value
         self.b.grad += rows.sum(axis=0)
-        dxs = []
+        columns = []
         start = 0
         for x in blocks:
             stop = start + x.shape[-1]
             self.w.grad[:, start:stop] += rows.T @ x.reshape(-1, x.shape[-1])
-            dxs.append(dz @ w[:, start:stop])
+            columns.append(slice(start, stop))
             start = stop
-        return dxs
+        return None if block is None else dz @ self.w.value[:, columns[block]]
 
 
 class Embedding:
@@ -260,10 +263,11 @@ class MLP:
     def backward(self, cache, dy: np.ndarray) -> None:
         """Accumulate the gradients of one forward pass, summed over its rows."""
         index, h_cache, out_cache = cache
-        (dh,) = self.out.backward(out_cache, dy)
-        dx = self.hidden.backward(h_cache, dh)
-        if self.embed is not None:
-            self.embed.backward(index, dx[-1])
+        dh = self.out.backward(out_cache, dy, block=0)
+        if self.embed is None:
+            self.hidden.backward(h_cache, dh)
+        else:  # the embedding rows are the last block; no other is read
+            self.embed.backward(index, self.hidden.backward(h_cache, dh, -1))
         self.pending += 1
 
     def update(self) -> None:
@@ -304,22 +308,25 @@ def categorical_cdf(p: np.ndarray, stack: bool = False) -> np.ndarray:
     checked so. A row's bits are those of its own 1-d call.
 
     Raises ``ValueError`` unless every vector is finite and non-negative with
-    a sum within sqrt(eps) of 1. Two reductions decide; NaN fails both.
+    a sum within sqrt(eps) of 1. The sum is the cumsum's last element, the
+    normaliser the cdf is divided by, so one reduction (the minimum) and that
+    element decide; NaN fails both.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != (2 if stack else 1) or p.shape[-1] == 0:
         raise ValueError("probabilities must be a " + (
             "stack of non-empty rows" if stack else "non-empty 1-d vector"))
+    cdf = p.cumsum(axis=-1)
+    total = cdf[:, -1:] if stack else cdf[-1]
     # a stack's worst row decides; a vector keeps the scalar path
-    error = abs(p.sum(axis=-1) - 1.0).max() if stack else abs(p.sum() - 1.0)
+    error = abs(total - 1.0).max() if stack else abs(total - 1.0)
     if not (p.min() >= 0.0 and error <= CDF_SUM_TOLERANCE):
         if not np.isfinite(p).all():
             raise ValueError("probabilities must be finite")
         if (p < 0.0).any():
             raise ValueError("probabilities must be non-negative")
         raise ValueError("probabilities do not sum to 1")
-    cdf = p.cumsum(axis=-1)
-    cdf /= cdf[:, -1:] if stack else cdf[-1]
+    cdf /= total
     return cdf
 
 

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import uncertainty
 from .nncore import MLP, categorical_cdf, draw, softmax, softmax_nll
 from .teachers import TeacherResponse
 
@@ -159,8 +160,8 @@ def query_imitation_loss(net: QueryNet, steps: list[StepRecord],
     if not kept:
         return 0.0
     losses = net.accumulate_nll(
-        np.stack([step.features for step, _ in kept]),
-        np.stack([step.mean_policy for step, _ in kept]),
+        np.array([step.features for step, _ in kept]),
+        np.array([step.mean_policy for step, _ in kept]),
         np.array([step.remaining for step, _ in kept]),
         np.array([label for _, label in kept]))
     return float(losses.sum())
@@ -293,8 +294,8 @@ class ThresholdQueryPolicy(QueryPolicyBase):
         self.ucfg = ucfg
 
     def decide(self, ctx: DecisionContext) -> int:
-        from .uncertainty import estimate
-        report = estimate(ctx.agent, ctx.features, self.ucfg, ctx.rng)
+        report = uncertainty.estimate(ctx.agent, ctx.features, self.ucfg,
+                                      ctx.rng)
         value = getattr(report, self.FIELDS[self.kind])
         return ASK_QUERY if value > self.tau else ASK_CONTINUE
 
@@ -317,8 +318,8 @@ class ErrPredQueryPolicy(QueryPolicyBase):
         queried = [traj.steps[t] for t in traj.queried_steps()]
         if not queried:
             return None
-        features = np.stack([step.features for step in queried])
-        means = np.stack([step.mean_policy for step in queried])
+        features = np.array([step.features for step in queried])
+        means = np.array([step.mean_policy for step in queried])
         margins = 1.0 - means[np.arange(len(queried)),
                               [step.exe_action for step in queried]]
         total = float(self.net.accumulate_sq_loss(features, means,

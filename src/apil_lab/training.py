@@ -220,7 +220,7 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
     if train:
         if queried:
             pol_losses, _ = agent.exe_losses(
-                np.stack([step.features for step in queried]),
+                np.array([step.features for step in queried]),
                 [step.response for step in queried])
             exe_loss = float(pol_losses.mean())
         agent.end_episode_update()

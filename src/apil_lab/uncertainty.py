@@ -20,7 +20,9 @@ order is fixed per state, and the states of a stack take their numbers in
 order: all N2 x A x K normals in one ``standard_normal`` call, then all N2 x
 N1 identity uniforms in one ``random`` call. So a stack leaves the stream
 where one call per state would, and each of its reports is bitwise that
-call's report.
+call's report. The identities are picked from rho's cdf as the agent holds
+it (``PersonaAgent.identity_cdf``: the table entry at one state, the stacked
+cdf for a stack), so the estimate builds no cdf of its own.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import categorical_cdf, draw, softmax
+from .nncore import draw, softmax
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,20 @@ def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
     picked each, so an identity it did not pick adds an exact zero.
     """
     n1, n2, k = cfg.n1, cfg.n2, agent.n_teachers
-    rho = agent.identity_probs(features)
+    cdf = agent.identity_cdf(features)
     mean, factor = agent.logit_posterior(features)
-    normals, picks = _draws(rho, factor.shape[-3:-1], cfg, rng)
-    weights = (picks[..., None] == np.arange(k)).sum(axis=-2) / n1
+    normals, picks = _draws(cdf, factor.shape[-3:-1], cfg, rng)
+    lead = cdf.shape[:-1]  # () at one state, (S,) over a stack
+    # each draw's identity counts: one bincount of the picks, each draw's
+    # shifted to K bins of its own
+    n_draws = picks.size // n1
+    bins = picks.reshape(n_draws, n1) + np.arange(0, n_draws * k, k)[:, None]
+    weights = np.bincount(bins.ravel(), minlength=n_draws * k).reshape(
+        *lead, n2, k) / n1
     # every identity's logits under every draw, mean + L z: (..., N2, K, A)
     noise = (factor[..., None, :, :, :] @ normals[..., None])[..., 0]
     probs = softmax(mean[..., None, :, :] + np.swapaxes(noise, -1, -2))
     mixtures = (weights[..., None] * probs).sum(axis=-2)
-    lead = rho.shape[:-1]  # () at one state, (S,) over a stack
     # sums over the draws divided by N2: the means, without np.mean's overhead
     rows = np.concatenate([probs.reshape(*lead, n2 * k, -1), mixtures,
                            mixtures.sum(axis=-2, keepdims=True) / n2], axis=-2)
@@ -103,22 +110,19 @@ def estimate(agent, features: np.ndarray, cfg: UncertaintyConfig,
             zip(intrinsic.tolist(), behavioral.tolist(), h[:, -1].tolist())]
 
 
-def _draws(rho: np.ndarray, shape: tuple[int, int], cfg: UncertaintyConfig,
+def _draws(cdf: np.ndarray, shape: tuple[int, int], cfg: UncertaintyConfig,
            rng: np.random.Generator):
     """A state's N2 draws of ``shape`` (A x K) standard normals, then its N2
-    x N1 identity picks. Over a stack of identity rows they are taken state
-    by state, in order, and written into one stack each as they come."""
-    if rho.ndim == 1:
+    x N1 identity picks from rho's ``cdf``. Over a stack of cdf rows they
+    are taken state by state, in order, and written into one stack each."""
+    if cdf.ndim == 1:
         return (rng.standard_normal((cfg.n2, *shape)),
-                draw(categorical_cdf(rho), rng, (cfg.n2, cfg.n1)))
-    stacks = None
-    for s, rho_s in enumerate(rho):
-        pair = _draws(rho_s, shape, cfg, rng)
-        if stacks is None:
-            stacks = [np.empty((len(rho), *x.shape), x.dtype) for x in pair]
-        for stack, x in zip(stacks, pair):
-            stack[s] = x
-    return stacks
+                draw(cdf, rng, (cfg.n2, cfg.n1)))
+    normals = np.empty((len(cdf), cfg.n2, *shape))
+    picks = np.empty((len(cdf), cfg.n2, cfg.n1), dtype=np.intp)
+    for s, cdf_s in enumerate(cdf):
+        normals[s], picks[s] = _draws(cdf_s, shape, cfg, rng)
+    return normals, picks
 
 
 def _report(intrinsic: float, behavioral: float, total: float,

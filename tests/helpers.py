@@ -1,8 +1,8 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
 policy sampler, loop oracles for the batched estimate, mean policy, episode
-backward and Adam step, an agent without its forward table, the Lemma-2
-gradient check, exact teacher distributions, maze free cells and the tau
-scan."""
+backward and Adam step, an every-block backward, an agent without its
+forward table, the Lemma-2 gradient check, exact teacher distributions, maze
+free cells and the tau scan."""
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +178,34 @@ def per_row_exe_losses(agent, features, responses):
         agent.id_net.backward(cache, dlogits)
         id_losses.append(float(loss))
     return np.array(pol_losses), np.array(id_losses)
+
+
+def every_block_backward(mlp, cache, dy) -> None:
+    """Reference of ``MLP.backward`` whose Dense layers compute d(input) of
+    every input block, read or not, and pass on the blocks the net reads."""
+    index, h_cache, out_cache = cache
+    (dh,) = every_block_dense_backward(mlp.out, out_cache, dy)
+    dx = every_block_dense_backward(mlp.hidden, h_cache, dh)
+    if mlp.embed is not None:
+        mlp.embed.backward(index, dx[-1])
+    mlp.pending += 1
+
+
+def every_block_dense_backward(layer, cache, dy) -> list:
+    """One Dense layer's gradients, accumulated as ``Dense.backward`` does,
+    and the d(input) of each of its input blocks."""
+    blocks, y = cache
+    dz = dy * (1.0 - y * y) if layer.activation == "tanh" else dy
+    rows = dz.reshape(-1, dz.shape[-1])
+    layer.b.grad += rows.sum(axis=0)
+    dxs = []
+    start = 0
+    for x in blocks:
+        stop = start + x.shape[-1]
+        layer.w.grad[:, start:stop] += rows.T @ x.reshape(-1, x.shape[-1])
+        dxs.append(dz @ layer.w.value[:, start:stop])
+        start = stop
+    return dxs
 
 
 class PerParamAdam:

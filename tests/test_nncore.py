@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import PerParamAdam
+from helpers import (PerParamAdam, every_block_backward,
+                     every_block_dense_backward)
 
+from apil_lab.agent import PersonaAgent
 from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
                              DropoutSpec, Embedding, ParamSet, atomic_open,
                              categorical_cdf, draw, init_weight,
                              load_checkpoint,
                              sample_dropout_mask, save_checkpoint, softmax,
                              softmax_nll)
+from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ErrPredNet,
+                            QueryNet, StepRecord, query_imitation_loss)
+from apil_lab.teachers import TeacherResponse
 from apil_lab.training import write_csv
 
 
@@ -350,6 +355,58 @@ def test_mlp_layout_embedding_gradient_and_update():
     net.update()
     assert (net.pending, net.opt.t) == (0, 1)
     assert not np.any(grad)  # the step zeroes the accumulators
+
+
+def test_dense_backward_returns_the_block_asked_for():
+    """d(input) of the one block asked for, by number or from the last,
+    with the bits of an every-block backward; none when none is asked."""
+    rng = np.random.default_rng(2)
+    layer = Dense(ParamSet(), "l", 7, 4, "tanh", rng)
+    blocks = (rng.normal(size=(3, 2)), rng.normal(size=(3, 5)))
+    _, cache = layer.forward(*blocks)
+    dy = rng.normal(size=(3, 4))
+    want = [dx.tobytes()
+            for dx in every_block_dense_backward(layer, cache, dy)]
+    assert layer.backward(cache, dy) is None
+    for block, index in ((0, 0), (1, 1), (-1, 1), (-2, 0)):
+        assert layer.backward(cache, dy, block).tobytes() == want[index]
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+def test_gradients_equal_an_every_block_backward(monkeypatch, rows):
+    """The agent's losses, the ask-imitation loss and ErrPred's loss leave
+    every parameter gradient bitwise where ``helpers.every_block_backward``,
+    which computes d(input) of every block, leaves it."""
+    def gradients():
+        rng = np.random.default_rng(rows)
+        agent = PersonaAgent(5, 3, 2, rng, hidden=8, persona_dim=4)
+        ask = QueryNet(5, 3, horizon=4, rng=rng, hidden=7)
+        errpred = ErrPredNet(5, 3, rng, hidden=6)
+        head = errpred.mlp.out.w.value  # off its zero start, so the hidden
+        head[...] = rng.normal(size=head.shape)  # layer gets a gradient
+        features = rng.normal(size=(rows, 5))
+        means = softmax(rng.normal(size=(rows, 3)))
+        agent.exe_losses(features, [
+            TeacherResponse(int(a), int(k), 1.0)
+            for a, k in zip(rng.integers(3, size=rows),
+                            rng.integers(2, size=rows))])
+        labels = [ASK_QUERY, *rng.choice([ASK_CONTINUE, ASK_QUERY, ASK_IGNORE],
+                                         size=rows - 1)]
+        query_imitation_loss(ask, [
+            StepRecord(features=x, exe_action=0, ask_action=0, mean_policy=m,
+                       remaining=int(left))
+            for x, m, left in zip(features, means,
+                                  rng.integers(1, 5, size=rows))], labels)
+        errpred.accumulate_sq_loss(features, means, rng.random(rows))
+        nets = (agent.exe_net, agent.id_net, ask.mlp, errpred.mlp)
+        for net in nets:
+            assert np.any(net.params.grads != 0.0)
+            assert np.any(net.hidden.w.grad != 0.0)
+        return {p.name: p.grad.tobytes() for net in nets for p in net.params}
+
+    ours = gradients()
+    monkeypatch.setattr(MLP, "backward", every_block_backward)
+    assert gradients() == ours
 
 
 def test_dropout_rate_zero_is_the_identity_mask():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from helpers import per_draw_estimate
 
+from apil_lab import agent as agent_module
+from apil_lab import nncore
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import EnvState, GridPos, make_env
 from apil_lab.teachers import TeacherResponse, make_committee
@@ -20,12 +22,16 @@ class _StubAgent:
 
     def __init__(self, rho, logits):
         self._rho = np.asarray(rho, dtype=np.float64)
+        self._cdf = nncore.categorical_cdf(self._rho)
         self._logits = np.asarray(logits, dtype=np.float64)
         self.n_teachers, self.n_actions = self._logits.shape
 
     def identity_probs(self, features):
         # one mixture at one state, the same one at each state of a stack
         return np.broadcast_to(self._rho, (*features.shape[:-1], self.n_teachers))
+
+    def identity_cdf(self, features):
+        return np.broadcast_to(self._cdf, (*features.shape[:-1], self.n_teachers))
 
     def logit_posterior(self, features):
         return _posterior(np.broadcast_to(
@@ -269,3 +275,66 @@ def test_stacked_logit_posterior_equals_one_state_calls(oracle_agents):
             assert mean.tobytes() == forward.tobytes(), label
             assert stacked_mean.tobytes() == mean.tobytes(), label
             assert stacked_factor.tobytes() == factor.tobytes(), label
+
+
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """The ``stack`` flag of every ``categorical_cdf`` call the agent and
+    the estimate make while the test runs."""
+    calls = []
+    build = nncore.categorical_cdf
+
+    def counted(p, stack=False):
+        calls.append(stack)
+        return build(p, stack)
+    for module in (nncore, agent_module):
+        monkeypatch.setattr(module, "categorical_cdf", counted)
+    return calls
+
+
+def _assert_matches_the_oracle(agent, states, cfg, reports, ours, seed):
+    """Each report within 1e-12 of ``per_draw_estimate`` on a fresh stream
+    of ``seed``, which it leaves where ``ours`` is."""
+    theirs = np.random.default_rng(seed)
+    for features, report in zip(states, reports):
+        want = asdict(per_draw_estimate(agent, features, cfg, theirs))
+        for key, value in asdict(report).items():
+            if isinstance(value, float):
+                assert abs(value - want[key]) <= 1e-12, key
+            else:
+                assert value == want[key], key
+    assert ours.random() == theirs.random()
+
+
+def test_estimate_builds_no_cdf(cdf_calls):
+    """The picks come from rho's cdf as the agent holds it: a one-state
+    estimate at a table hit builds no cdf, a stack's only cdf is the agent's
+    stacked rho pass, and a stub's reader leaves a stack with none."""
+    env = make_env("grid", None)
+    states = [env.encode(EnvState(GridPos(r, c), GridPos(4, 4), 0, False))
+              for r, c in ((0, 0), (2, 1), (3, 4))]
+    agent = PersonaAgent(env.state_dim, env.n_actions, 2,
+                         np.random.default_rng(0))
+    cfg = UncertaintyConfig(5, 10)
+    agent.identity_cdf(states[0])  # the rho fill, a stack of one known state
+    agent.identity_cdf(states[1])  # a later state, a one-row stack
+    agent.identity_cdf(states[2])
+    assert cdf_calls == [True] * 3
+    del cdf_calls[:]
+
+    ours = np.random.default_rng(7)
+    reports = [estimate(agent, features, cfg, ours) for features in states]
+    assert cdf_calls == []
+    _assert_matches_the_oracle(agent, states, cfg, reports, ours, 7)
+
+    ours = np.random.default_rng(8)
+    reports = estimate(agent, np.stack(states), cfg, ours)
+    assert cdf_calls == [True]
+    _assert_matches_the_oracle(agent, states, cfg, reports, ours, 8)
+
+    stub = _StubAgent([0.3, 0.7], [DELTA, UNIFORM])
+    del cdf_calls[:]
+    ours = np.random.default_rng(9)
+    reports = estimate(stub, np.zeros((4, 3)), cfg, ours)
+    assert cdf_calls == []
+    _assert_matches_the_oracle(stub, np.zeros((4, 3)), cfg, reports, ours, 9)
