@@ -6,6 +6,11 @@ step. Hindsight labeling sweeps backward over those observations: a step is
 pair shrinks the gap by a factor sigma, and progressable steps are labeled
 continue while the rest are labeled query. The ignore variant additionally
 compares the label against what the agent actually did.
+
+The learned ask decision is drawn from its two logits in Python floats, by
+the operations of ``softmax``, ``categorical_cdf`` and ``draw``, so the choice
+and the random stream are bitwise theirs. ``np.exp`` stays: ``math.exp``
+differs from it in the last bit on some inputs.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import uncertainty
-from .nncore import MLP, categorical_cdf, draw, softmax, softmax_nll
+from .nncore import MLP, softmax, softmax_nll
 from .teachers import TeacherResponse
 
 ASK_CONTINUE = 0
@@ -250,7 +255,10 @@ class DaggerPolicy(AlwaysQueryPolicy):
 class HindsightQueryPolicy(QueryPolicyBase):
     """Learned ask policy trained on hindsight labels after each episode.
 
-    It samples its decisions while training and takes their argmax when frozen.
+    It samples its decisions while training and takes their argmax when
+    frozen. With ``p = softmax(logits)``, it queries iff one uniform is
+    ``>= p0 / (p0 + p1)``, the cdf's first entry, as ``draw`` does, or when
+    frozen iff ``p1 > p0``, as ``np.argmax`` breaks a tie.
     """
 
     def __init__(self, net: QueryNet, cfg: ApilConfig, use_ignore: bool = False):
@@ -259,10 +267,17 @@ class HindsightQueryPolicy(QueryPolicyBase):
         self.use_ignore = use_ignore
 
     def decide(self, ctx: DecisionContext) -> int:
-        probs = self.net.forward(ctx.features, ctx.mean_policy(), ctx.remaining)
-        if ctx.train:
-            return int(draw(categorical_cdf(probs), ctx.rng))
-        return int(np.argmax(probs))
+        logits, _ = self.net.logits(ctx.features, ctx.mean_policy(),
+                                    ctx.remaining)
+        e0, e1 = np.exp(logits - logits.max()).tolist()
+        s = e0 + e1
+        p0, p1 = e0 / s, e1 / s
+        if not ctx.train:
+            return int(p1 > p0)
+        c0 = p0 / (p0 + p1)
+        if c0 != c0:
+            raise ValueError("probabilities must be finite")
+        return int(ctx.rng.random() >= c0)
 
     def end_episode(self, traj: Trajectory) -> float | None:
         labeler = ignore_labels if self.use_ignore else apil_labels

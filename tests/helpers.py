@@ -1,8 +1,8 @@
 """Shared test utilities: trajectory builders, a label brute-forcer, a
 policy sampler, loop oracles for the batched estimate, mean policy, episode
 backward and Adam step, an every-block backward, an agent without its
-forward table, the Lemma-2 gradient check, exact teacher distributions, maze
-free cells and the tau scan."""
+forward table, the vector-path ask decision, the Lemma-2 gradient check,
+exact teacher distributions, maze free cells and the tau scan."""
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +12,8 @@ from apil_lab.agent import PersonaAgent, psd_factor
 from apil_lab.envs import GridPos
 from apil_lab.nncore import categorical_cdf, draw, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
-                            StepRecord, Trajectory, query_imitation_loss)
+                            HindsightQueryPolicy, StepRecord, Trajectory,
+                            query_imitation_loss)
 from apil_lab.teachers import TeacherKind
 from apil_lab.uncertainty import UncertaintyConfig, UncertaintyReport, entropy
 
@@ -237,6 +238,18 @@ class PerParamAdam:
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         for p in params:
             p.grad.fill(0.0)
+
+
+class ReferenceHindsightPolicy(HindsightQueryPolicy):
+    """Oracle of ``HindsightQueryPolicy.decide`` on the vector path: the ask
+    probabilities by ``QueryNet.forward``, drawn through ``categorical_cdf``
+    and ``draw`` while training, their ``np.argmax`` when frozen."""
+
+    def decide(self, ctx):
+        probs = self.net.forward(ctx.features, ctx.mean_policy(), ctx.remaining)
+        if ctx.train:
+            return int(draw(categorical_cdf(probs), ctx.rng))
+        return int(np.argmax(probs))
 
 
 def lemma2_gradient_check(net, step: StepRecord) -> float:

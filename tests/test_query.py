@@ -1,11 +1,12 @@
 """Unit tests for hindsight labeling, the ask net, and query policies."""
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import (brute_force_labels, lemma2_gradient_check,
-                     make_trajectory)
+from helpers import (ReferenceHindsightPolicy, brute_force_labels,
+                     lemma2_gradient_check, make_trajectory)
 
 from apil_lab import uncertainty
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
@@ -15,6 +16,7 @@ from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             StepRecord, ThresholdQueryPolicy, Trajectory,
                             apil_labels, ignore_labels, progress_flags,
                             query_imitation_loss)
+from apil_lab.nncore import categorical_cdf, softmax
 from apil_lab.uncertainty import UncertaintyConfig
 
 CFG = ApilConfig()  # sigma 2, epsilon 0, teacher final distance 0
@@ -223,3 +225,78 @@ def test_hindsight_policy_greedy_and_learning():
     assert isinstance(loss, float) and loss > 0.0
     after = policy.param_arrays()
     assert any(not np.array_equal(before[k], after[k]) for k in before)
+
+
+_INF, _NAN = np.inf, np.nan
+# equal pairs, adjacent floats, a softmax that underflows to exact 0 or 1,
+# a subtraction that overflows, and the logits whose softmax is NaN
+_EDGE_LOGITS = [(0.0, 0.0), (3.5, 3.5), (-700.0, -700.0), (1e6, 1e6),
+                (1.0, np.nextafter(1.0, 2.0)), (np.nextafter(1.0, 0.0), 1.0),
+                (1e6, np.nextafter(1e6, 0.0)), (0.1, -0.1), (5e-324, 0.0),
+                (0.0, -745.0), (-746.0, 0.0), (0.0, -1e6), (-_INF, 0.0),
+                (0.0, -_INF), (1e308, -1e308), (-1e308, 1e308),
+                (_NAN, 0.0), (0.0, _NAN), (_INF, 0.0), (0.0, _INF),
+                (_INF, _INF), (-_INF, -_INF)]
+
+
+def _decision(policy_cls, logits, rng, train):
+    """(decision or ValueError text, warnings) of ``policy_cls.decide`` on
+    an ask net whose logits are ``logits``."""
+    logits = np.array(logits, dtype=np.float64)
+    net = SimpleNamespace(logits=lambda *_: (logits.copy(), None),
+                          forward=lambda *_: softmax(logits))
+    ctx = DecisionContext(features=None, remaining=0, rng=rng, agent=None,
+                          mean_policy=lambda: None, train=train)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = policy_cls(net, CFG).decide(ctx)
+        except ValueError as err:
+            result = str(err)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_hindsight_decision_is_the_vector_path_bitwise():
+    """Over seeded random logit pairs (scales 0.1 to 1e6) and edge pairs,
+    the ask decision, its warnings and the random stream after it are those
+    of ``draw(categorical_cdf(softmax(l)), rng)`` while training and of
+    ``argmax(softmax(l))`` when frozen."""
+    gen = np.random.default_rng(17)
+    pairs = _EDGE_LOGITS + [tuple(row) for scale in (0.1, 1.0, 10.0, 1e3, 1e6)
+                            for row in scale * gen.standard_normal((400, 2))]
+    decisions = set()
+    for i, logits in enumerate(pairs):
+        for train in (True, False):
+            got_rng = np.random.default_rng(i)
+            want_rng = np.random.default_rng(i)
+            got = _decision(HindsightQueryPolicy, logits, got_rng, train)
+            want = _decision(ReferenceHindsightPolicy, logits, want_rng, train)
+            assert got == want, (logits, train)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            decisions.add((train, got[0]))
+    assert decisions == {(True, ASK_CONTINUE), (True, ASK_QUERY),
+                         (True, "probabilities must be finite"),
+                         (False, ASK_CONTINUE), (False, ASK_QUERY)}
+    # a NaN or +inf logit fails as the vector path does, with its warning
+    result, caught = _decision(HindsightQueryPolicy, (_INF, 0.0),
+                               np.random.default_rng(0), True)
+    assert result == "probabilities must be finite"
+    assert caught == [(RuntimeWarning,
+                       "invalid value encountered in subtract")]
+
+
+def test_hindsight_decision_queries_at_a_uniform_equal_to_the_cdf():
+    """A uniform equal to the cdf's first entry c0 queries, as ``draw``'s
+    right-side ``searchsorted`` does; its neighbouring floats fall on either
+    side. Each c0 is exact to the last bit: one ulp off in ``exp`` moves
+    some of these 300 pairs' decisions."""
+    gen = np.random.default_rng(4)
+    for logits in [(0.0, 0.0), (0.3, -0.2), (2.0, 2.5),
+                   *map(tuple, 3.0 * gen.standard_normal((300, 2)))]:
+        c0 = float(categorical_cdf(softmax(np.array(logits)))[0])
+        for u, want in ((np.nextafter(c0, 0.0), ASK_CONTINUE),
+                        (c0, ASK_QUERY), (np.nextafter(c0, 1.0), ASK_QUERY)):
+            rng = SimpleNamespace(random=lambda size=None, u=u: u)
+            assert (_decision(HindsightQueryPolicy, logits, rng, True)
+                    == _decision(ReferenceHindsightPolicy, logits, rng, True)
+                    == (want, []))

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import UnmemoizedAgent, free_cells, tune_tau
+from helpers import (ReferenceHindsightPolicy, UnmemoizedAgent, free_cells,
+                     tune_tau)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,29 @@ def test_forward_table_changes_no_output(method, env, teacher, episodes, tau,
         assert mean.tobytes() == want_mean.tobytes()
         assert cdf.tobytes() == want_cdf.tobytes()
     got, want = _checkpoint_arrays(memo), _checkpoint_arrays(fresh)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("method,env,teacher", [
+    ("apil", "grid", "twodifdetm"), ("phil-ignore", "maze", "tworand")])
+def test_ask_decision_changes_no_output(method, env, teacher, tmp_path,
+                                        monkeypatch):
+    """A hindsight run, with periodic evals so that frozen decisions run
+    too, writes the metrics and eval CSV bytes and trains the arrays of a
+    run whose ask decisions take the vector path."""
+    cfg = RunConfig(method=method, env=env, teacher=teacher, episodes=300,
+                    seed=3, eval_every=100, eval_episodes=10)
+    fast = run_training(cfg, out_path=tmp_path / "fast.csv")
+    monkeypatch.setattr(training, "HindsightQueryPolicy",
+                        ReferenceHindsightPolicy)
+    reference = run_training(cfg, out_path=tmp_path / "reference.csv")
+    assert type(reference.policy) is ReferenceHindsightPolicy
+    for suffix in ("", ".eval.csv"):
+        assert ((tmp_path / f"fast.csv{suffix}").read_bytes()
+                == (tmp_path / f"reference.csv{suffix}").read_bytes()), suffix
+    got, want = _checkpoint_arrays(fast), _checkpoint_arrays(reference)
     assert got.keys() == want.keys()
     for name in want:
         assert np.array_equal(got[name], want[name]), name
