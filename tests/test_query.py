@@ -9,6 +9,7 @@ from helpers import (ReferenceHindsightPolicy, brute_force_labels,
                      lemma2_gradient_check, make_trajectory)
 
 from apil_lab import uncertainty
+from apil_lab.nncore import categorical_cdf, softmax
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                             DecisionContext, ErrPredNet, ErrPredQueryPolicy,
@@ -16,7 +17,6 @@ from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             StepRecord, ThresholdQueryPolicy, Trajectory,
                             apil_labels, ignore_labels, progress_flags,
                             query_imitation_loss)
-from apil_lab.nncore import categorical_cdf, softmax
 from apil_lab.uncertainty import UncertaintyConfig
 
 CFG = ApilConfig()  # sigma 2, epsilon 0, teacher final distance 0

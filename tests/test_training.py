@@ -64,8 +64,12 @@ def test_same_seed_runs_are_identical():
     assert run_training(cfg).rows == run_training(cfg).rows
 
 
-def _checkpoint_arrays(result):
-    return {**result.agent.param_arrays(), **result.policy.param_arrays()}
+def _assert_same_checkpoint_arrays(got, want):
+    got, want = [{**result.agent.param_arrays(),
+                  **result.policy.param_arrays()} for result in (got, want)]
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 # (method, env, teacher, episodes, tau): the maze asks at every step under
@@ -116,10 +120,7 @@ def test_forward_table_changes_no_output(method, env, teacher, episodes, tau,
     for (mean, cdf), (want_mean, want_cdf) in zip(memo_steps, fresh_steps):
         assert mean.tobytes() == want_mean.tobytes()
         assert cdf.tobytes() == want_cdf.tobytes()
-    got, want = _checkpoint_arrays(memo), _checkpoint_arrays(fresh)
-    assert got.keys() == want.keys()
-    for name in want:
-        assert np.array_equal(got[name], want[name]), name
+    _assert_same_checkpoint_arrays(memo, fresh)
 
 
 @pytest.mark.parametrize("method,env,teacher", [
@@ -139,10 +140,7 @@ def test_ask_decision_changes_no_output(method, env, teacher, tmp_path,
     for suffix in ("", ".eval.csv"):
         assert ((tmp_path / f"fast.csv{suffix}").read_bytes()
                 == (tmp_path / f"reference.csv{suffix}").read_bytes()), suffix
-    got, want = _checkpoint_arrays(fast), _checkpoint_arrays(reference)
-    assert got.keys() == want.keys()
-    for name in want:
-        assert np.array_equal(got[name], want[name]), name
+    _assert_same_checkpoint_arrays(fast, reference)
 
 
 @pytest.mark.parametrize("method,env,teacher,cells", [
