@@ -262,8 +262,9 @@ class PersonaAgent:
             raise ValueError(f"shape mismatch for {HEAD_PRECISION_NAME!r}: "
                              f"expected {self.head_precision.shape}, "
                              f"got {precision.shape}")
-        if not (precision > 0.0).all():
-            raise ValueError(f"{HEAD_PRECISION_NAME!r} must be positive")
+        if not ((precision > 0.0) & (precision < np.inf)).all():
+            raise ValueError(f"{HEAD_PRECISION_NAME!r} must be positive "
+                             f"and finite")
         self.head_precision[...] = precision
         self._table_version = None  # the posterior entries read the precision
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +18,7 @@ class GridPos(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
     agent: GridPos
     goal: GridPos
     step_count: int

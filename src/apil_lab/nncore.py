@@ -104,6 +104,8 @@ class ParamSet:
                     f"shape mismatch for {p.name!r}: "
                     f"expected {p.value.shape}, got {arr.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite value in {p.name!r}")
             p.value[...] = arr
 
 
@@ -118,13 +120,20 @@ class AdamState:
         self._v = np.zeros_like(params.values)
 
     def step(self, params: ParamSet) -> None:
-        """Apply one update from the accumulated gradients, then zero them."""
+        """Apply one update from the accumulated gradients, then zero them.
+
+        A NaN or infinite gradient raises ``FloatingPointError`` naming its
+        parameter. One sum of squares decides: it is finite unless some
+        element is not or a square overflows, and only then are the elements
+        scanned. A plain sum would warn on a {+inf, -inf} pair.
+        """
         grad = params.grads
-        if not np.isfinite(grad).all():
-            bad = next(p for p in params if not np.isfinite(p.grad).all())
-            raise FloatingPointError(
-                f"non-finite gradient for parameter {bad.name!r}"
-            )
+        if not math.isfinite(grad @ grad):
+            bad = next((p for p in params if not np.isfinite(p.grad).all()),
+                       None)
+            if bad is not None:
+                raise FloatingPointError(
+                    f"non-finite gradient for parameter {bad.name!r}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v = self._m, self._v
@@ -151,6 +160,13 @@ class Dense:
     the same leading shape. The input may come as column blocks whose widths
     sum to ``in``; each block multiplies its own columns of W, so a block of
     one row is shared by every row of the others without a concatenated copy.
+
+    The layer keeps each block's W columns (transposed) and W.grad columns.
+    Invariant: they are views of the arrays ``self.w`` holds now, at the
+    block widths of the last call. Adam steps and ``load_arrays`` write into
+    those arrays in place, so the views see them; the views are cut again
+    when ``self.w.value`` is another array (``ParamSet.add`` rebinds every
+    view while a net is built) or the block widths change.
     """
 
     def __init__(self, params: ParamSet, prefix: str, in_dim: int, out_dim: int,
@@ -160,15 +176,26 @@ class Dense:
         self.activation = activation
         self.w = params.add(f"{prefix}.W", init_weight(rng, in_dim, out_dim))
         self.b = params.add(f"{prefix}.b", np.zeros(out_dim))
+        self._cut_from = self._widths = None
+        self._views = []
+
+    def _block_views(self, blocks) -> list:
+        """(W's columns transposed, W.grad's columns) of each input block."""
+        widths = [x.shape[-1] for x in blocks]
+        if self.w.value is not self._cut_from or widths != self._widths:
+            w, grad = self.w.value, self.w.grad
+            self._views, start = [], 0
+            for width in widths:
+                columns = slice(start, start + width)
+                self._views.append((w[:, columns].T, grad[:, columns]))
+                start += width
+            self._cut_from, self._widths = w, widths
+        return self._views
 
     def forward(self, *blocks: np.ndarray):
-        w = self.w.value
         z = self.b.value
-        start = 0
-        for x in blocks:
-            stop = start + x.shape[-1]
-            z = z + x @ w[:, start:stop].T
-            start = stop
+        for x, (w_t, _) in zip(blocks, self._block_views(blocks)):
+            z = z + x @ w_t
         y = np.tanh(z) if self.activation == "tanh" else z
         return y, (blocks, y)
 
@@ -181,14 +208,10 @@ class Dense:
         dz = dy * (1.0 - y * y) if self.activation == "tanh" else dy
         rows = dz.reshape(-1, dz.shape[-1])
         self.b.grad += rows.sum(axis=0)
-        columns = []
-        start = 0
-        for x in blocks:
-            stop = start + x.shape[-1]
-            self.w.grad[:, start:stop] += rows.T @ x.reshape(-1, x.shape[-1])
-            columns.append(slice(start, stop))
-            start = stop
-        return None if block is None else dz @ self.w.value[:, columns[block]]
+        views = self._block_views(blocks)
+        for x, (_, grad) in zip(blocks, views):
+            grad += rows.T @ x.reshape(-1, x.shape[-1])
+        return None if block is None else dz @ views[block][0].T
 
 
 class Embedding:

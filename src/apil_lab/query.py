@@ -9,13 +9,14 @@ compares the label against what the agent actually did.
 
 The learned ask decision is drawn from its two logits in Python floats, by
 the operations of ``softmax``, ``categorical_cdf`` and ``draw``, so the choice
-and the random stream are bitwise theirs. ``np.exp`` stays: ``math.exp``
-differs from it in the last bit on some inputs.
+and the random stream are bitwise theirs. The larger logit is picked in
+Python; the subtraction and ``np.exp`` stay in numpy: ``math.exp`` differs
+from ``np.exp`` in the last bit on some inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ ASK_QUERY = 1
 ASK_IGNORE = 2
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     features: np.ndarray
     exe_action: int
     ask_action: int
@@ -207,8 +207,7 @@ class ErrPredNet:
 # ------------------------------------------------------------- query policies
 
 
-@dataclass
-class DecisionContext:
+class DecisionContext(NamedTuple):
     features: np.ndarray
     remaining: int
     rng: np.random.Generator
@@ -269,7 +268,8 @@ class HindsightQueryPolicy(QueryPolicyBase):
     def decide(self, ctx: DecisionContext) -> int:
         logits, _ = self.net.logits(ctx.features, ctx.mean_policy(),
                                     ctx.remaining)
-        e0, e1 = np.exp(logits - logits.max()).tolist()
+        l0, l1 = logits.tolist()
+        e0, e1 = np.exp(logits - max(l0, l1)).tolist()
         s = e0 + e1
         p0, p1 = e0 / s, e1 / s
         if not ctx.train:

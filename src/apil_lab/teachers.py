@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ TEACHER_MODELS: dict[str, tuple[TeacherKind, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class TeacherResponse:
+class TeacherResponse(NamedTuple):
     exe_action: int
     identity: int
     dist: float

@@ -460,6 +460,7 @@ def test_checkpoint_arrays_round_trip():
 @pytest.mark.parametrize("precision,message", [
     (None, "has no posterior precision"), (np.ones((2, 3)), "shape mismatch"),
     (np.zeros((2, HIDDEN_WIDTH)), "must be positive"),
+    (np.full((2, HIDDEN_WIDTH), np.inf), "must be positive and finite"),
 ])
 def test_load_arrays_checks_the_head_precision(precision, message):
     arrays = _fresh(seed=1).param_arrays()

@@ -487,6 +487,33 @@ def test_checkpoint_without_a_trained_array_is_rejected(tmp_path, capsys):
     assert "exe.hidden.W" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,value", [("ask.hidden.W", np.nan),
+                                        ("ask.out.b", -np.inf),
+                                        ("exe.hidden.W", np.nan),
+                                        ("id.out.W", np.inf)])
+def test_checkpoint_with_a_nonfinite_weight_is_rejected(name, value, tmp_path,
+                                                        capsys):
+    """A NaN or infinite weight is refused at load, naming its array, where
+    a frozen decision would carry it into a summary that exits 0."""
+    _, ckpt = _train(tmp_path)
+    arrays = load_checkpoint(ckpt)
+    arrays[name].flat[0] = value
+    save_checkpoint(ckpt, arrays)
+    capsys.readouterr()
+    assert main(["eval", "--load", str(ckpt),
+                 "--episodes", "1"]) == EXIT_RUN_FAILURE
+    captured = capsys.readouterr()
+    assert f"non-finite value in {name!r}" in captured.err
+    assert captured.out == ""
+    if name.startswith("ask."):  # the report reads the agent's arrays only
+        return
+    out = tmp_path / "u.csv"
+    assert main(["uncertainty-report", "--load", str(ckpt),
+                 "--out", str(out)]) == EXIT_RUN_FAILURE
+    assert f"non-finite value in {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path, capsys):
     _, ckpt = _train(tmp_path)
     with open(ckpt, "ab") as fh:

@@ -1,5 +1,6 @@
-"""The package's runtime imports only the standard library and numpy, and
-importing the CLI loads only what every command needs."""
+"""The package's runtime imports only the standard library and numpy, reads
+every name it imports, and importing the CLI loads only what every command
+needs."""
 import ast
 import os
 import subprocess
@@ -26,6 +27,39 @@ def test_src_imports_only_the_stdlib_numpy_and_the_package():
                      for module in _top_level_imports(path)
                      if module not in allowed)
     assert not outside
+
+
+def _unread_imports(source, filename="<src>"):
+    """The names one source file imports, anywhere in it, but never reads.
+    ``__future__`` imports are directives, not names."""
+    tree = ast.parse(source, filename)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_src_reads_every_name_it_imports():
+    unread = sorted((path.name, name) for path in SRC.glob("*.py")
+                    for name in _unread_imports(path.read_text(), str(path)))
+    assert not unread
+
+
+def test_the_unread_import_check_sees_every_import_form():
+    source = ("from __future__ import annotations\n"
+              "import os.path, json as js\n"
+              "from dataclasses import dataclass, field as f\n"
+              "def g():\n"
+              "    import math\n"
+              "    os = 1\n"
+              "    return js.dumps(f)\n")
+    assert _unread_imports(source) == ["dataclass", "math", "os"]
 
 
 def test_importing_the_cli_leaves_command_only_modules_unloaded():

@@ -212,6 +212,54 @@ def test_adam_names_parameter_with_nonfinite_gradient():
         AdamState(params).step(params)
 
 
+def _three_params():
+    params = ParamSet()
+    for name in ("a", "b", "c"):
+        params.add(name, np.ones(2))
+        params[name].grad[...] = 0.5
+    return params
+
+
+@pytest.mark.parametrize("bad", [
+    {"b": [np.nan]}, {"a": [np.inf]}, {"c": [-np.inf]},
+    {"a": [np.inf], "b": [-np.inf]},  # a pair whose sum is NaN
+    {"b": [np.inf, -np.inf]},
+], ids=["nan", "+inf", "-inf", "inf-pair", "inf-pair-in-one"])
+def test_adam_refuses_a_nonfinite_gradient_as_the_loop_does(bad):
+    """The one-sum check raises on every non-finite gradient with the
+    per-parameter loop's message, naming the first bad parameter, and
+    leaves the values and the step count alone."""
+    params = _three_params()
+    for name, values in bad.items():
+        params[name].grad[:len(values)] = values
+    opt = AdamState(params)
+    with pytest.raises(FloatingPointError) as got:
+        opt.step(params)
+    with pytest.raises(FloatingPointError) as want:
+        PerParamAdam(params).step(params)
+    assert str(got.value) == str(want.value)
+    assert opt.t == 0 and np.array_equal(params.values, np.ones(6))
+
+
+def test_adam_steps_finite_gradients_whose_sum_overflows():
+    """Finite gradients whose float sum (and sum of squares) is inf are
+    stepped, not refused, bit for bit as the per-parameter loop steps
+    them."""
+    fused, looped = _three_params(), _three_params()
+    for params in (fused, looped):
+        params["a"].grad[...] = [1e308, 1e308]
+        params["b"].grad[...] = [-2.0, 1e308]
+    opt, oracle = AdamState(fused, lr=0.01), PerParamAdam(looped, lr=0.01)
+    with np.errstate(over="ignore"):  # the sums and g * g overflow to inf
+        assert fused.grads.sum() == fused.grads @ fused.grads == np.inf
+        opt.step(fused)
+        oracle.step(looped)
+    assert opt.t == 1 and not np.any(fused.grads)
+    assert fused.values.tobytes() == np.concatenate(
+        [p.value.ravel() for p in looped]).tobytes()
+    assert not np.array_equal(fused.values, np.ones(6))
+
+
 def test_flat_adam_step_equals_the_per_parameter_loop():
     """Several steps of the fused step over the flat buffers give the
     parameters and moments of the per-parameter loop, bit for bit, on an MLP
@@ -257,6 +305,18 @@ def test_paramset_views_share_one_buffer():
     assert np.array_equal(params.grads, [0] * 6 + [3, 3])
     params.zero_grad()
     assert not np.any(b.grad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_paramset_refuses_a_nonfinite_load(value):
+    params = ParamSet()
+    params.add("a", np.zeros(2))
+    params.add("b.W", np.zeros((2, 2)))
+    bad = np.ones((2, 2))
+    bad[1, 0] = value
+    with pytest.raises(ValueError, match=r"non-finite value in 'b.W'"):
+        params.load_arrays({"a": np.ones(2), "b.W": bad})
+    assert not np.any(params["b.W"].value)
 
 
 def test_paramset_rejects_duplicates_and_bad_loads():
@@ -370,6 +430,55 @@ def test_dense_backward_returns_the_block_asked_for():
     assert layer.backward(cache, dy) is None
     for block, index in ((0, 0), (1, 1), (-1, 1), (-2, 0)):
         assert layer.backward(cache, dy, block).tobytes() == want[index]
+
+
+def _fresh_views_forward(layer, *blocks):
+    """``Dense.forward``'s output with W's columns cut afresh."""
+    z, start = layer.b.value, 0
+    for x in blocks:
+        z = z + x @ layer.w.value[:, start:start + x.shape[-1]].T
+        start += x.shape[-1]
+    return np.tanh(z)
+
+
+def test_dense_reads_the_current_weights():
+    """The block views a layer keeps see a load, an Adam step, the buffer a
+    later ``ParamSet.add`` rebinds W to, and every block split: each forward
+    has the bits of one with views cut afresh, and a backward of an earlier
+    split's cache adds that split's gradient."""
+    rng = np.random.default_rng(8)
+    params = ParamSet()
+    layer = Dense(params, "l", 5, 3, "tanh", rng)
+    x = rng.normal(size=(2, 5))
+    # each check starts with the split the last one ended with, so only
+    # the array-identity test can see that W moved to another buffer
+    splits = [(x[:, :2], x[:, 2:]), (x,), (x[:, :4], x[:, 4:]), (x[0],)]
+    dy = rng.normal(size=(2, 3))
+
+    def check():
+        for blocks in splits:
+            y, _ = layer.forward(*blocks)
+            want = _fresh_views_forward(layer, *blocks)
+            assert y.tobytes() == want.tobytes()
+        y, cache = layer.forward(*splits[0])
+        layer.forward(*splits[2])  # the views are cut at other widths
+        layer.backward(cache, dy)
+        dz = dy * (1.0 - y * y)
+        want = np.concatenate([dz.T @ block for block in splits[0]], axis=1)
+        assert params.grads[:15].tobytes() == want.tobytes()  # W's
+        params.zero_grad()
+
+    check()
+    params.load_arrays({"l.W": rng.normal(size=(3, 5)),
+                        "l.b": rng.normal(size=3)})
+    check()
+    layer.backward(layer.forward(*splits[0])[1], dy)
+    AdamState(params).step(params)
+    check()
+    params.add("later", np.zeros(4))  # W and its gradient move buffers
+    params.load_arrays({"l.W": rng.normal(size=(3, 5)),
+                        "l.b": rng.normal(size=3), "later": np.ones(4)})
+    check()
 
 
 @pytest.mark.parametrize("rows", [1, 6])

@@ -8,7 +8,8 @@ import pytest
 from helpers import (ReferenceHindsightPolicy, brute_force_labels,
                      lemma2_gradient_check, make_trajectory)
 
-from apil_lab import uncertainty
+from apil_lab import gradcheck, uncertainty
+from apil_lab.envs import EnvState, GridPos
 from apil_lab.nncore import categorical_cdf, softmax
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
@@ -17,6 +18,7 @@ from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             StepRecord, ThresholdQueryPolicy, Trajectory,
                             apil_labels, ignore_labels, progress_flags,
                             query_imitation_loss)
+from apil_lab.teachers import TeacherResponse
 from apil_lab.uncertainty import UncertaintyConfig
 
 CFG = ApilConfig()  # sigma 2, epsilon 0, teacher final distance 0
@@ -26,6 +28,28 @@ def _ctx(rng=None, mean=(0.5, 0.5), train=True):
     return DecisionContext(features=np.zeros(2), remaining=1,
                            rng=rng or np.random.default_rng(0), agent=None,
                            mean_policy=lambda: np.array(mean), train=train)
+
+
+def test_records_are_immutable_and_build_as_before():
+    """The four per-step records refuse a write to any field, build
+    positionally and by keyword, and keep their defaults and repr."""
+    state = EnvState(GridPos(0, 0), GridPos(4, 4), 0, False)
+    response = TeacherResponse(1, 0, 2.0)
+    _, steps = gradcheck._small_query_net(np.random.default_rng(0), None)
+    step = StepRecord(features=np.zeros(2), exe_action=0, ask_action=1)
+    for record in (state, response, steps[0], step, _ctx()):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert (response.exe_action, response.identity, response.dist) == (
+        1, 0, 2.0)
+    assert (step.mean_policy, step.remaining, step.state,
+            step.response) == (None, 0, None, None)
+    assert repr(response) == ("TeacherResponse(exe_action=1, identity=0, "
+                              "dist=2.0)")
+    assert repr(state) == ("EnvState(agent=GridPos(row=0, col=0), "
+                           "goal=GridPos(row=4, col=4), step_count=0, "
+                           "terminal=False)")
 
 
 def test_labels_trivial_cases():
@@ -236,7 +260,7 @@ _EDGE_LOGITS = [(0.0, 0.0), (3.5, 3.5), (-700.0, -700.0), (1e6, 1e6),
                 (0.0, -745.0), (-746.0, 0.0), (0.0, -1e6), (-_INF, 0.0),
                 (0.0, -_INF), (1e308, -1e308), (-1e308, 1e308),
                 (_NAN, 0.0), (0.0, _NAN), (_INF, 0.0), (0.0, _INF),
-                (_INF, _INF), (-_INF, -_INF)]
+                (_INF, _INF), (-_INF, -_INF), (-0.0, 0.0), (0.0, -0.0)]
 
 
 def _decision(policy_cls, logits, rng, train):

@@ -6,9 +6,23 @@ import pytest
 from helpers import action_distribution
 
 from apil_lab.envs import EnvState, GridPos, GridWorld, MazeGrid
+from apil_lab.query import AlwaysQueryPolicy
 from apil_lab.teachers import (TEACHER_MODELS, Committee, TeacherKind,
                                estimate_teacher_final_distance, make_committee)
+from apil_lab.training import rollout
 from apil_lab.uncertainty import entropy
+
+# start 12 steps from the goal, the default maze horizon, by either of two
+# shortest paths
+TIGHT_MAP = """\
+S......
+.#####.
+.#####.
+.#####.
+.#####.
+.......
+######G
+"""
 
 
 def _grid_state(row, col):
@@ -145,3 +159,26 @@ def test_estimate_teacher_final_distance():
     assert one == two
     with pytest.raises(ValueError):
         estimate_teacher_final_distance(make_committee("detm"), env, 0, rng)
+
+
+@pytest.mark.parametrize("env", [GridWorld(), MazeGrid(), MazeGrid(TIGHT_MAP)],
+                         ids=["grid", "maze", "tight-map"])
+@pytest.mark.parametrize("model", sorted(TEACHER_MODELS))
+def test_an_always_query_rollout_of_every_teacher_ends_at_the_goal(env,
+                                                                    model):
+    """Every reference action lowers the goal distance by one, and no env
+    has a horizon shorter than its start's distance, so d* is 0: each
+    teacher's always-query rollout ends at distance 0, even on a map whose
+    start is exactly ``horizon`` steps from the goal."""
+    committee = make_committee(model)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        traj = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
+        assert traj.distances[traj.horizon] == 0.0
+
+
+def test_the_tight_map_leaves_no_step_to_spare():
+    env = MazeGrid(TIGHT_MAP)
+    start = env.reset()
+    assert env.distance(start) == env.horizon == 12
+    assert env.ref_action_set(start) == (1, 2)  # right or down: two paths
