@@ -25,68 +25,6 @@ class EnvState(NamedTuple):
     terminal: bool
 
 
-class GridWorld:
-    """5x5 corridor-free grid, start (0,0), goal (4,4), actions [right, down].
-
-    A move that would leave the grid is deflected to the only in-grid
-    direction, so every step reduces the goal distance by exactly one and
-    any 8-step episode terminates at the goal.
-    """
-
-    kind = "grid"
-    side = 5
-    horizon = 8
-    n_actions = 2
-    action_names = ("right", "down")
-    always_succeeds = True
-
-    RIGHT = 0
-    DOWN = 1
-
-    def __init__(self):
-        self.state_dim = self.side * self.side
-        self._goal = GridPos(self.side - 1, self.side - 1)
-
-    def reset(self) -> EnvState:
-        return EnvState(GridPos(0, 0), self._goal, 0, False)
-
-    def step(self, state: EnvState, action: int) -> EnvState:
-        if state.terminal:
-            raise ValueError("step called on a terminal state")
-        if action not in (self.RIGHT, self.DOWN):
-            raise ValueError(f"invalid action {action}")
-        r, c = state.agent
-        last = self.side - 1
-        if action == self.RIGHT:
-            agent = GridPos(r, c + 1) if c < last else GridPos(r + 1, c)
-        else:
-            agent = GridPos(r + 1, c) if r < last else GridPos(r, c + 1)
-        count = state.step_count + 1
-        terminal = agent == state.goal or count == self.horizon
-        return EnvState(agent, state.goal, count, terminal)
-
-    def distance(self, state: EnvState) -> float:
-        r, c = state.agent
-        return float((self.side - 1 - r) + (self.side - 1 - c))
-
-    def ref_action_set(self, state: EnvState) -> tuple[int, ...]:
-        if state.terminal:
-            raise ValueError("reference actions undefined at a terminal state")
-        r, c = state.agent
-        last = self.side - 1
-        if r < last and c < last:
-            return (self.RIGHT, self.DOWN)
-        if r == last:
-            return (self.RIGHT,)
-        return (self.DOWN,)
-
-    def encode(self, state: EnvState) -> np.ndarray:
-        vec = np.zeros(self.state_dim)
-        vec[state.goal.row * self.side + state.goal.col] = ENCODE_GOAL
-        vec[state.agent.row * self.side + state.agent.col] = ENCODE_AGENT
-        return vec
-
-
 DEFAULT_MAZE_MAP = """\
 S.....
 .####.
@@ -96,16 +34,13 @@ S.....
 #####G
 """
 
-# move deltas in canonical order [up, right, down, left]
-MAZE_DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
-
 
 class MazeGrid:
     """Walled grid parsed from a text map; bumping a wall or border is a no-op."""
 
     kind = "maze"
     n_actions = 4
-    action_names = ("up", "right", "down", "left")
+    deltas = ((-1, 0), (0, 1), (1, 0), (0, -1))  # [up, right, down, left]
     always_succeeds = False
 
     def __init__(self, map_text: str = DEFAULT_MAZE_MAP, horizon: int = 12):
@@ -133,44 +68,42 @@ class MazeGrid:
             raise ValueError("maze map needs exactly one S and one G")
         self._start = start
         self._goal = goal
-        self._dist = self._bfs_from_goal()
-        if not np.isfinite(self._dist[start]):
+        self._dists = self._bfs_from_goal()
+        if start not in self._dists:
             raise ValueError("goal is unreachable from the start cell")
-        if horizon < self._dist[start]:
+        if horizon < self._dists[start]:
             raise ValueError(
-                f"horizon {horizon} is shorter than the {int(self._dist[start])}-step "
-                "optimal path"
-            )
+                f"horizon {horizon} is shorter than the "
+                f"{int(self._dists[start])}-step optimal path")
         # per-cell tables, so a step neither re-encodes the walls nor
-        # re-derives its reference actions
+        # re-derives its distance or reference actions
         self._base = np.full(self.state_dim, ENCODE_EMPTY)
         self._base[self._walls.reshape(-1)] = ENCODE_WALL
-        self._refs = {}
-        for r, c in zip(*np.nonzero(np.isfinite(self._dist))):
-            pos = GridPos(int(r), int(c))
-            self._refs[pos] = tuple(
-                a for a in range(self.n_actions)
-                if self._dist[self._move(pos, a)] == self._dist[pos] - 1.0)
+        self._refs = {
+            pos: tuple(a for a in range(self.n_actions)
+                       if self._dists.get(self._move(pos, a)) == d - 1.0)
+            for pos, d in self._dists.items()}
 
-    def _bfs_from_goal(self) -> np.ndarray:
-        dist = np.full((self.n_rows, self.n_cols), np.inf)
-        dist[self._goal] = 0.0
+    def _bfs_from_goal(self) -> dict[GridPos, float]:
+        """Goal distance of every cell that reaches the goal, searched
+        backwards: a cell is one step farther than the cell its move enters."""
+        dists = {self._goal: 0.0}
         frontier = deque([self._goal])
         while frontier:
-            r, c = frontier.popleft()
-            for dr, dc in MAZE_DELTAS:
-                nr, nc = r + dr, c + dc
-                if (0 <= nr < self.n_rows and 0 <= nc < self.n_cols
-                        and not self._walls[nr, nc] and dist[nr, nc] == np.inf):
-                    dist[nr, nc] = dist[r, c] + 1.0
-                    frontier.append(GridPos(nr, nc))
-        return dist
+            pos = frontier.popleft()
+            for dr, dc in self.deltas:
+                prev = GridPos(pos.row - dr, pos.col - dc)
+                if (0 <= prev.row < self.n_rows and 0 <= prev.col < self.n_cols
+                        and not self._walls[prev] and prev not in dists):
+                    dists[prev] = dists[pos] + 1.0
+                    frontier.append(prev)
+        return dists
 
     def reset(self) -> EnvState:
         return EnvState(self._start, self._goal, 0, False)
 
     def _move(self, pos: GridPos, action: int) -> GridPos:
-        dr, dc = MAZE_DELTAS[action]
+        dr, dc = self.deltas[action]
         nr, nc = pos.row + dr, pos.col + dc
         if not (0 <= nr < self.n_rows and 0 <= nc < self.n_cols):
             return pos
@@ -189,10 +122,10 @@ class MazeGrid:
         return EnvState(agent, state.goal, count, terminal)
 
     def distance(self, state: EnvState) -> float:
-        d = self._dist[state.agent]
-        if not np.isfinite(d):
+        d = self._dists.get(state.agent)
+        if d is None:
             raise ValueError(f"cell {state.agent} cannot reach the goal")
-        return float(d)
+        return d
 
     def ref_action_set(self, state: EnvState) -> tuple[int, ...]:
         if state.terminal:
@@ -206,6 +139,50 @@ class MazeGrid:
         vec = self._base.copy()
         vec[state.goal.row * self.n_cols + state.goal.col] = ENCODE_GOAL
         vec[state.agent.row * self.n_cols + state.agent.col] = ENCODE_AGENT
+        return vec
+
+
+class GridWorld(MazeGrid):
+    """5x5 open grid, start (0,0), goal (4,4), actions [right, down].
+
+    Its distances and reference actions are the maze tables of the open map.
+    A move that would leave the grid is deflected to the only in-grid
+    direction, so every step reduces the goal distance by exactly one and
+    any 8-step episode terminates at the goal. The maze's bump rule would
+    waste that move, so a move off the board is not a reference action.
+    """
+
+    kind = "grid"
+    side = 5
+    n_actions = 2
+    deltas = ((0, 1), (1, 0))  # [right, down]
+    always_succeeds = True
+
+    RIGHT = 0
+    DOWN = 1
+
+    def __init__(self):
+        super().__init__("S....\n" + ".....\n" * 3 + "....G\n", horizon=8)
+
+    def step(self, state: EnvState, action: int) -> EnvState:
+        if state.terminal:
+            raise ValueError("step called on a terminal state")
+        if action not in (self.RIGHT, self.DOWN):
+            raise ValueError(f"invalid action {action}")
+        r, c = state.agent
+        last = self.side - 1
+        if action == self.RIGHT:
+            agent = GridPos(r, c + 1) if c < last else GridPos(r + 1, c)
+        else:
+            agent = GridPos(r + 1, c) if r < last else GridPos(r, c + 1)
+        count = state.step_count + 1
+        terminal = agent == state.goal or count == self.horizon
+        return EnvState(agent, state.goal, count, terminal)
+
+    def encode(self, state: EnvState) -> np.ndarray:
+        vec = np.zeros(self.state_dim)
+        vec[state.goal.row * self.side + state.goal.col] = ENCODE_GOAL
+        vec[state.agent.row * self.side + state.agent.col] = ENCODE_AGENT
         return vec
 
 

@@ -19,33 +19,39 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((diff / scale).max())
 
 
-def fd_gradients(params: ParamSet, loss_fn, h: float = FD_STEP):
-    """Central finite differences of ``loss_fn()`` w.r.t. every parameter."""
-    grads = {}
-    for p in params:
-        g = np.zeros_like(p.value)
-        flat_value = p.value.reshape(-1)
-        flat_grad = g.reshape(-1)
-        for i in range(flat_value.size):
-            orig = flat_value[i]
-            flat_value[i] = orig + h
-            hi = loss_fn()
-            flat_value[i] = orig - h
-            lo = loss_fn()
-            flat_value[i] = orig
-            flat_grad[i] = (hi - lo) / (2.0 * h)
-        grads[p.name] = g
-    return grads
-
-
 def check_params(params: ParamSet, loss_and_backward, loss_fn) -> float:
-    """Max relative error between accumulated and finite-difference gradients."""
+    """Max relative error between the gradients ``loss_and_backward()``
+    accumulates and central finite differences of ``loss_fn()`` w.r.t.
+    every parameter; the accumulated gradients are left in ``p.grad``."""
     params.zero_grad()
     loss_and_backward()
-    analytic = {p.name: p.grad.copy() for p in params}
-    params.zero_grad()
-    numeric = fd_gradients(params, loss_fn)
-    return max(relative_error(analytic[name], numeric[name]) for name in analytic)
+    errors = []
+    for p in params:
+        numeric = np.zeros_like(p.value)
+        flat_value, flat_numeric = p.value.reshape(-1), numeric.reshape(-1)
+        for i in range(flat_value.size):
+            orig = flat_value[i]
+            flat_value[i] = orig + FD_STEP
+            hi = loss_fn()
+            flat_value[i] = orig - FD_STEP
+            lo = loss_fn()
+            flat_value[i] = orig
+            flat_numeric[i] = (hi - lo) / (2.0 * FD_STEP)
+        errors.append(relative_error(p.grad, numeric))
+    return max(errors)
+
+
+def _check_nll(params: ParamSet, forward, backward, target) -> float:
+    """An NLL head over ``forward()``'s ``(logits, cache)``;
+    ``backward(cache, dlogits)`` accumulates the parameter gradients."""
+    def loss_fn():
+        return softmax_nll(forward()[0], target)[1].sum()
+
+    def loss_and_backward():
+        logits, cache = forward()
+        backward(cache, softmax_nll(logits, target)[2])
+
+    return check_params(params, loss_and_backward, loss_fn)
 
 
 MULTI_ROWS = 4  # the multi-row case: 4 rows over 2 identities, so indices repeat
@@ -66,18 +72,8 @@ def check_dense(rng: np.random.Generator, rows: int | None = None) -> float:
     """An MLP's two stacked Dense layers (tanh then identity) under an NLL head."""
     net = MLP("mlp", 6, 5, 3, rng)
     x = _rows(rng, rows, 6)
-    target = _indices(rng, rows, 3)
-
-    def loss_fn():
-        logits, _ = net.forward(x)
-        return softmax_nll(logits, target)[1].sum()
-
-    def backward():
-        logits, cache = net.forward(x)
-        _, _, dlogits = softmax_nll(logits, target)
-        net.backward(cache, dlogits)
-
-    return check_params(net.params, backward, loss_fn)
+    return _check_nll(net.params, lambda: net.forward(x), net.backward,
+                      _indices(rng, rows, 3))
 
 
 def check_embedding(rng: np.random.Generator, rows: int | None = None) -> float:
@@ -87,43 +83,27 @@ def check_embedding(rng: np.random.Generator, rows: int | None = None) -> float:
     table = Embedding(params, "emb", 4, 5, rng)
     out = Dense(params, "out", 5, 3, "identity", rng)
     index = _indices(rng, rows, 4)
-    target = _indices(rng, rows, 3)
-
-    def loss_fn():
-        logits, _ = out.forward(table.forward(index))
-        return softmax_nll(logits, target)[1].sum()
-
-    def backward():
-        logits, cache = out.forward(table.forward(index))
-        _, _, dlogits = softmax_nll(logits, target)
-        table.backward(index, out.backward(cache, dlogits, block=0))
-
-    err = check_params(params, backward, loss_fn)
-    params.zero_grad()
-    backward()
-    grad = params["emb"].grad
+    err = _check_nll(
+        params, lambda: out.forward(table.forward(index)),
+        lambda cache, dlogits: table.backward(
+            index, out.backward(cache, dlogits, block=0)),
+        _indices(rng, rows, 3))
     other_rows = np.setdiff1d(np.arange(4), index)
-    if np.abs(grad[other_rows]).max() != 0.0:
+    if np.abs(params["emb"].grad[other_rows]).max() != 0.0:
         return np.inf
     return err
 
 
 def check_softmax_nll(rng: np.random.Generator, rows: int | None = None) -> float:
     """NLL gradient w.r.t. the logits themselves."""
-    logits = _rows(rng, rows, 5) * 3.0
-    target = _indices(rng, rows, 5)
-    _, _, analytic = softmax_nll(logits, target)
-    numeric = np.zeros_like(logits)
-    flat_logits, flat_numeric = logits.reshape(-1), numeric.reshape(-1)
-    for i in range(flat_logits.size):
-        orig = flat_logits[i]
-        flat_logits[i] = orig + FD_STEP
-        hi = softmax_nll(logits, target)[1].sum()
-        flat_logits[i] = orig - FD_STEP
-        lo = softmax_nll(logits, target)[1].sum()
-        flat_logits[i] = orig
-        flat_numeric[i] = (hi - lo) / (2.0 * FD_STEP)
-    return relative_error(analytic, numeric)
+    params = ParamSet()
+    logits = params.add("logits", _rows(rng, rows, 5) * 3.0)
+
+    def accumulate(_, dlogits):
+        logits.grad[...] += dlogits
+
+    return _check_nll(params, lambda: (logits.value, None), accumulate,
+                      _indices(rng, rows, 5))
 
 
 def _small_query_net(rng: np.random.Generator,

@@ -269,7 +269,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     import concurrent.futures
-    jobs = args.jobs or os.cpu_count() or 1
+    # the processors this process may run on, where the OS can say
+    jobs = args.jobs or (len(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1)
     statuses = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(_sweep_cell, asdict(cell), str(outdir / name)):

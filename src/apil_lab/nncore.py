@@ -438,6 +438,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if not (isinstance(shape, list) and isinstance(entry.get("name"), str)
                 and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"bad checkpoint header entry {entry!r}")
+        if entry["name"] in arrays:
+            raise ValueError(f"checkpoint header names {entry['name']!r} twice")
         count = math.prod(shape)
         if offset + 8 * count > len(body):
             raise ValueError(f"truncated checkpoint at {entry['name']!r}")

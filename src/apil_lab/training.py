@@ -97,6 +97,9 @@ class RunConfig:
             value = getattr(self, name)
             if not test(value):
                 raise ValueError(f"{name} must {rule}, got {value}")
+        if self.inflation_n1s and self.probe_every == 0:
+            raise ValueError("inflation_n1s needs probe_every above 0: the "
+                             "series is measured at the probes")
         built = {"apil": ApilConfig(self.sigma, self.epsilon),
                  "uncertainty": UncertaintyConfig(self.n1, self.n2),
                  "inflation": tuple(UncertaintyConfig(n1, self.n2)

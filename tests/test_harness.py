@@ -1,5 +1,6 @@
 """CLI and reporting tests for the harness."""
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -49,6 +50,7 @@ def test_usage_errors_exit_1(capsys):
     ["--sigma", "0.5"], ["--sigma", "nan"], ["--epsilon", "-1"],
     ["--tau", "nan"], ["--episodes", "0"], ["--inflation-n1s", "5,x"],
     ["--inflation-n1s", "0"], ["--seed", "-1"],
+    ["--inflation-n1s", "5,20"],  # with FAST's --probe-every 0: no probes
 ])
 def test_bad_flag_values_exit_1(flags, tmp_path, capsys):
     out = tmp_path / "m.csv"
@@ -269,6 +271,32 @@ def test_map_without_the_maze_env_exits_1(command, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "--map needs --env maze" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_jobs_0_counts_the_processors_it_may_run_on(monkeypatch,
+                                                         tmp_path, capsys):
+    """``--jobs 0`` takes the process's CPU affinity set where the OS has
+    one, and the machine's CPU count elsewhere."""
+    import concurrent.futures
+    workers = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    sweep = ["sweep", *FAST, "--methods", "never", "--teachers", "detm",
+             "--seeds", "0", "--jobs", "0"]
+    assert main([*sweep, "--outdir", str(tmp_path / "a")]) == EXIT_OK
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main([*sweep, "--outdir", str(tmp_path / "b")]) == EXIT_OK
+    assert workers == [1, 5]
+    capsys.readouterr()
 
 
 def test_sweep_records_failed_cells(tmp_path, capsys):
@@ -531,6 +559,7 @@ def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path, capsys):
     {"params": [{"name": "a", "shape": ["2"]}]},
     {"params": [{"name": "a", "shape": [-1]}]},  # negative dimension
     {"params": [{"shape": [2]}]},  # no name
+    {"params": [{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]},
 ])
 def test_checkpoint_with_a_malformed_header_is_rejected(header, tmp_path,
                                                         capsys):
@@ -540,6 +569,9 @@ def test_checkpoint_with_a_malformed_header_is_rejected(header, tmp_path,
                      + len(blob).to_bytes(4, "little") + blob + bytes(16))
     assert main(["eval", "--load", str(ckpt),
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
+    assert "checkpoint header" in capsys.readouterr().err
+    assert main(["uncertainty-report", "--load", str(ckpt),
+                 "--out", str(tmp_path / "u.csv")]) == EXIT_RUN_FAILURE
     assert "checkpoint header" in capsys.readouterr().err
 
 

@@ -1,13 +1,14 @@
 """The package's runtime imports only the standard library and numpy, reads
-every name it imports, and importing the CLI loads only what every command
-needs."""
+every name it imports and every name its classes define, and importing the
+CLI loads only what every command needs."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "apil_lab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "apil_lab"
 
 
 def _top_level_imports(path):
@@ -60,6 +61,52 @@ def test_the_unread_import_check_sees_every_import_form():
               "    os = 1\n"
               "    return js.dumps(f)\n")
     assert _unread_imports(source) == ["dataclass", "math", "os"]
+
+
+def _class_body_names(tree):
+    """(class, name) of each method, class attribute and dataclass or
+    NamedTuple field a class body defines, dunders aside."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                targets = [ast.Name(node.name)]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            yield from ((cls.name, t.id) for t in targets
+                        if isinstance(t, ast.Name)
+                        and not (t.id.startswith("__") and t.id.endswith("__")))
+
+
+def _read_names(tree):
+    """Every name that appears as an attribute, a keyword or a string
+    constant (``getattr`` and ``vars(owner)[attr]`` read names as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_name_a_class_defines_is_read_somewhere():
+    """A method, class attribute or field of a ``src`` class that neither
+    the package, the tests nor the benchmark reads is dead code."""
+    read = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        read.update(_read_names(ast.parse(path.read_text(), str(path))))
+    unread = sorted(f"{path.stem}.{cls}.{name}" for path in SRC.glob("*.py")
+                    for cls, name in _class_body_names(
+                        ast.parse(path.read_text(), str(path)))
+                    if name not in read)
+    assert not unread
 
 
 def test_importing_the_cli_leaves_command_only_modules_unloaded():

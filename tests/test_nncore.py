@@ -7,6 +7,7 @@ import pytest
 from helpers import (PerParamAdam, every_block_backward,
                      every_block_dense_backward)
 
+from apil_lab import gradcheck
 from apil_lab.agent import PersonaAgent
 from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
                              DropoutSpec, Embedding, ParamSet, atomic_open,
@@ -50,26 +51,13 @@ def test_dense_gradient_matches_finite_differences():
     target = 1
 
     def loss():
-        y, _ = layer.forward(x)
-        return softmax_nll(y, target)[1]
+        return softmax_nll(layer.forward(x)[0], target)[1]
 
-    y, cache = layer.forward(x)
-    _, _, dlogits = softmax_nll(y, target)
-    layer.backward(cache, dlogits)
-    h = 1e-5
-    for p in params:
-        flat_value = p.value.reshape(-1)
-        flat_grad = p.grad.reshape(-1)
-        for i in range(flat_value.size):
-            orig = flat_value[i]
-            flat_value[i] = orig + h
-            hi = loss()
-            flat_value[i] = orig - h
-            lo = loss()
-            flat_value[i] = orig
-            numeric = (hi - lo) / (2.0 * h)
-            scale = max(abs(flat_grad[i]) + abs(numeric), 1e-6)
-            assert abs(flat_grad[i] - numeric) / scale < 1e-4
+    def backward():
+        y, cache = layer.forward(x)
+        layer.backward(cache, softmax_nll(y, target)[2])
+
+    assert gradcheck.check_params(params, backward, loss) < 1e-4
 
 
 def test_softmax_is_stable_for_huge_logits():

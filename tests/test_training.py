@@ -326,6 +326,7 @@ def _breaks_a_rule(v) -> bool:
             or not all(integer(v[name]) and v[name] >= low
                        for name, low in at_least.items())
             or not all(integer(n1) and n1 >= 1 for n1 in v["inflation_n1s"])
+            or (bool(v["inflation_n1s"]) and v["probe_every"] == 0)
             or not 0.0 < v["lr"] < math.inf
             or not 1.0 < v["sigma"] < math.inf
             or not 0.0 <= v["epsilon"] < math.inf
@@ -335,6 +336,7 @@ def _breaks_a_rule(v) -> bool:
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @example(DEFAULTS)
+@example({**DEFAULTS, "inflation_n1s": (5,), "probe_every": 0})
 @given(run_values())
 def test_config_raises_exactly_when_a_rule_fails(values):
     if _breaks_a_rule(values):
