@@ -47,6 +47,11 @@ bits do not depend on the other rows. A posterior fill also writes the
 policy rows, the softmax of its mean logits, so a method that reads both
 runs one policy-net forward per weight change.
 
+A one-teacher agent never runs its identity net: the softmax of one finite
+logit is exactly 1.0, and the identity loss and gradient are exactly 0.0,
+so the rho fill returns ones, ``exe_losses`` returns zero id losses, and
+the net keeps the initial draw it is still built with.
+
 Its one invariant: every entry is read through ``_entry``, which drops the
 table when either net's ``ParamSet.version`` moves. Weights change only
 through ``update`` and ``load_arrays``; a direct write to a ``Param.value``
@@ -147,6 +152,9 @@ class PersonaAgent:
         stack."""
         x = features[:, None, :]
         if kind == "rho":
+            if self.n_teachers == 1:  # the softmax of one logit is 1.0
+                ones = np.ones((len(features), 1))
+                return ones, ones
             logits, _ = self.id_net.forward(x)
             rho = softmax(logits[:, 0])
             return rho, categorical_cdf(rho, stack=True)
@@ -230,6 +238,8 @@ class PersonaAgent:
         self._table_version = None  # the posterior entries read the precision
         self.exe_net.backward(cache, dlogits)
 
+        if self.n_teachers == 1:  # rho is 1.0: its loss and gradient are 0
+            return pol_losses, np.zeros(len(responses))
         logits, cache = self.id_net.forward(features)
         _, id_losses, dlogits = softmax_nll(logits, identities)
         self.id_net.backward(cache, dlogits)

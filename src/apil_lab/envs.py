@@ -41,7 +41,7 @@ class MazeGrid:
     kind = "maze"
     n_actions = 4
     deltas = ((-1, 0), (0, 1), (1, 0), (0, -1))  # [up, right, down, left]
-    always_succeeds = False
+    always_succeeds = True  # see the horizon check in __init__
 
     def __init__(self, map_text: str = DEFAULT_MAZE_MAP, horizon: int = 12):
         rows = [line for line in map_text.splitlines() if line]
@@ -71,6 +71,8 @@ class MazeGrid:
         self._dists = self._bfs_from_goal()
         if start not in self._dists:
             raise ValueError("goal is unreachable from the start cell")
+        # each reference action lowers the distance by one, so a teacher
+        # that is always asked reaches the goal within the horizon: d* is 0
         if horizon < self._dists[start]:
             raise ValueError(
                 f"horizon {horizon} is shorter than the "
@@ -156,7 +158,6 @@ class GridWorld(MazeGrid):
     side = 5
     n_actions = 2
     deltas = ((0, 1), (1, 0))  # [right, down]
-    always_succeeds = True
 
     RIGHT = 0
     DOWN = 1

@@ -380,9 +380,13 @@ def softmax_nll(logits: np.ndarray, target):
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a temporary file beside ``path`` for writing. It replaces
-    ``path`` when the block ends cleanly and is removed when it raises, so
-    a reader sees the old file or the whole new one."""
+    """Open a temporary file beside ``path`` for writing, making ``path``'s
+    directory first. It replaces ``path`` when the block ends cleanly and is
+    removed when it raises, so a reader sees the old file or the whole new
+    one."""
+    parent = os.path.dirname(os.fspath(path))
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

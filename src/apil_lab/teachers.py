@@ -1,4 +1,8 @@
-"""Teacher committees: non-deterministic reference policies with identities."""
+"""Teacher committees: non-deterministic reference policies with identities.
+
+A choice among one option (a committee of one, or one reference action)
+draws nothing, as ``rng.integers(1)``, which returns 0, would not either.
+"""
 from __future__ import annotations
 
 import enum
@@ -41,7 +45,7 @@ class Committee:
         return len(self.members)
 
     def select_member(self, rng: np.random.Generator) -> int:
-        self.active_member = int(rng.integers(self.size))
+        self.active_member = int(rng.integers(self.size)) if self.size > 1 else 0
         return self.active_member
 
     def respond(self, env, state, rng: np.random.Generator) -> TeacherResponse:
@@ -52,12 +56,12 @@ class Committee:
             raise ValueError("select_member must run before respond")
         kind = self.members[self.active_member]
         refs = env.ref_action_set(state)
-        if kind is TeacherKind.DETM_FIRST:
-            action = refs[0]
-        elif kind is TeacherKind.DETM_LAST:
+        if kind is TeacherKind.DETM_LAST:
             action = refs[-1]
-        else:
+        elif kind is TeacherKind.RAND and len(refs) > 1:
             action = refs[int(rng.integers(len(refs)))]
+        else:  # detm-first, or a choice among one
+            action = refs[0]
         return TeacherResponse(action, self.active_member, env.distance(state))
 
 

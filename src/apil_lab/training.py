@@ -7,16 +7,14 @@ methods with a learned ask policy additionally train it from the same
 trajectory.
 
 ``rollout`` is the one episode loop: ``run_episode`` adds end-of-episode
-updates and metrics, the probe states and d* are agent-free always-query
+updates and metrics, the probe states are agent-free always-query
 rollouts, and the uncertainty report walks never-query rollouts.
 """
 from __future__ import annotations
 
 import csv
 import numbers
-import os
-from dataclasses import dataclass, replace
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +25,7 @@ from .query import (ASK_QUERY, AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
                     DecisionContext, ErrPredNet, ErrPredQueryPolicy,
                     HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
                     StepRecord, ThresholdQueryPolicy, Trajectory)
-from .teachers import (TEACHER_MODELS, estimate_teacher_final_distance,
-                       make_committee)
+from .teachers import TEACHER_MODELS, make_committee
 from .uncertainty import UncertaintyConfig, mean_report
 
 METHODS = ("apil", "phil-ignore", "bc", "dagger", "intrun", "extrun",
@@ -68,7 +65,6 @@ class RunConfig:
     inflation_n1s: tuple[int, ...] = ()
     eval_every: int = 0
     eval_episodes: int = 20
-    d_star_rollouts: ClassVar[int] = 100
 
     def __post_init__(self):
         for name, choices in (("env", ENVS), ("teacher", tuple(TEACHER_MODELS)),
@@ -261,9 +257,6 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -280,19 +273,12 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
     """Train one cell; optionally write its metrics CSV (plus side CSVs)."""
     root = np.random.default_rng(cfg.seed)
     # eval and the inflation series have their own streams, so turning
-    # either on leaves the probes unchanged
-    (init_rng, train_rng, probe_rng, dstar_rng, eval_rng,
+    # either on leaves the probes unchanged; the fourth stream is unused
+    # (d* is 0 on every env), and keeps the others' seeds
+    (init_rng, train_rng, probe_rng, _, eval_rng,
      inflation_rng) = root.spawn(6)
     env, committee, agent = build_cell(cfg, init_rng)
     policy = make_query_policy(cfg, env, init_rng)
-
-    # d* is read only by the hindsight labeller, and is 0 where teachers
-    # always succeed; it has its own stream, so skipping it moves nothing
-    if isinstance(policy, HindsightQueryPolicy) and not env.always_succeeds:
-        policy.cfg = replace(policy.cfg, teacher_final_distance=(
-            estimate_teacher_final_distance(committee, env,
-                                            cfg.d_star_rollouts, dstar_rng)))
-
     probe_features = probe_trajectory_features(env, committee, probe_rng,
                                                cfg.probe_rollouts)
     tag = {"method": cfg.method, "teacher": cfg.teacher, "env": cfg.env,

@@ -409,6 +409,39 @@ def test_exe_losses_uniform_start_is_log2():
     assert agent.exe_net.pending == agent.id_net.pending == 1
 
 
+def test_one_teacher_rho_is_exactly_one_without_the_identity_net():
+    """With one teacher the softmax of the id net's one logit is exactly 1
+    and its loss and gradient exactly 0, so rho and its cdf are ones at one
+    state and for a stack, even under large id weights, and ``exe_losses``
+    gives id losses of exactly 0 without running the id net."""
+    agent = _fresh(n_teachers=1)
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(6, 25))
+    arrays = agent.param_arrays()
+    big = {name: 1e3 * rng.normal(size=value.shape)
+           for name, value in arrays.items() if name.startswith("id.")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-teacher agent ran its identity net")
+
+    for name in ("forward", "hidden_forward", "backward"):
+        setattr(agent.id_net, name, refuse)
+    for net_arrays in ({}, big):
+        agent.load_arrays({**arrays, **net_arrays})
+        for read in (agent.identity_probs, agent.identity_cdf):
+            for features in states:
+                assert read(features).tobytes() == np.ones(1).tobytes()
+            assert read(states).tobytes() == np.ones((6, 1)).tobytes()
+        pol_losses, id_losses = agent.exe_losses(
+            states[:4], [TeacherResponse(a % 2, 0, 1.0) for a in range(4)])
+        assert id_losses.tobytes() == np.zeros(4).tobytes()
+        assert pol_losses.shape == (4,) and (pol_losses > 0.0).all()
+        assert (agent.exe_net.pending, agent.id_net.pending) == (1, 0)
+        version = agent.id_net.params.version
+        agent.end_episode_update()
+        assert agent.id_net.params.version == version
+
+
 def test_exe_losses_touch_only_observed_persona_row():
     agent = _fresh()
     agent.exe_losses(np.zeros((1, 25)), [TeacherResponse(1, 0, 3.0)])

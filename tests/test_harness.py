@@ -212,6 +212,16 @@ def test_eval_loads_a_checkpoint(tmp_path, capsys):
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
 
 
+def test_train_makes_the_directories_of_its_output_files(tmp_path):
+    """``--save`` into a missing directory makes it, as ``--out`` does."""
+    out = tmp_path / "newdir" / "a.csv"
+    ckpt = tmp_path / "newdir2" / "a.ckpt"
+    assert main(["train", *FAST, "--out", str(out),
+                 "--save", str(ckpt)]) == EXIT_OK
+    assert len(read_csv(out)) == 2
+    assert main(["eval", "--load", str(ckpt), "--episodes", "1"]) == EXIT_OK
+
+
 def test_sweep_manifest_and_outputs(tmp_path, capsys):
     outdir = tmp_path / "sweep"
     code = main(["sweep", *FAST, "--methods", "never", "--teachers",

@@ -87,6 +87,30 @@ def test_select_member_is_uniform():
     assert 0.48 <= frac <= 0.52
 
 
+def test_a_choice_among_one_draws_nothing():
+    """``rng.integers(1)`` is 0 and draws nothing, so a rand teacher with one
+    reference action and a committee of one skip it: the stream is where it
+    was. With two choices the same calls draw."""
+    env = GridWorld()
+    rng = np.random.default_rng(3)
+    rand, single, pair = (make_committee(m)
+                          for m in ("rand", "detm", "tworand"))
+    rand.active_member = 0
+
+    def draws(call):
+        before = rng.bit_generator.state
+        call()
+        return rng.bit_generator.state != before
+
+    assert not any(draws(call) for call in (
+        lambda: rng.integers(1), lambda: single.select_member(rng),
+        lambda: rand.respond(env, _grid_state(4, 1), rng),
+        lambda: rand.respond(env, _grid_state(1, 4), rng)))
+    assert all(draws(call) for call in (
+        lambda: pair.select_member(rng),
+        lambda: rand.respond(env, _grid_state(1, 1), rng)))
+
+
 def test_teacher_actions_stay_in_reference_set():
     env = GridWorld()
     rng = np.random.default_rng(1)

@@ -11,7 +11,7 @@ from helpers import (ReferenceHindsightPolicy, UnmemoizedAgent, free_cells,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apil_lab import training
+from apil_lab import teachers, training
 from apil_lab.agent import PersonaAgent
 from apil_lab.envs import EnvState, GridPos, GridWorld, make_env
 from apil_lab.query import (ASK_CONTINUE, AlwaysQueryPolicy, ApilConfig,
@@ -162,19 +162,57 @@ def test_known_states_are_the_non_goal_cells(method, env, teacher, cells):
     assert set(result.agent._known) <= non_goal
 
 
-def test_d_star_is_rolled_out_only_for_a_hindsight_policy(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("d* rolled out for a method that never reads it")
+@pytest.mark.parametrize("env", ["grid", "maze"])
+@pytest.mark.parametrize("method",
+                         ["dagger", "bc", "phil-ignore", "errpred", "intrun"])
+def test_a_one_teacher_cell_never_runs_its_identity_net(method, env,
+                                                        monkeypatch):
+    """With one teacher rho is exactly 1 and the identity loss and gradient
+    exactly 0, so a cell trains, probes and evaluates without an id-net
+    forward or backward; the id net takes no Adam step and keeps its
+    initial draw, while the policy net trains."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-teacher cell ran its identity net")
 
-    monkeypatch.setattr(training, "estimate_teacher_final_distance", refuse)
-    run_training(RunConfig(method="dagger", env="maze", teacher="tworand",
-                           episodes=2, probe_every=0))
-    monkeypatch.setattr(training, "estimate_teacher_final_distance",
-                        lambda *args: 1.25)
-    result = run_training(RunConfig(method="apil", env="maze",
-                                    teacher="tworand", episodes=2,
-                                    probe_every=0))
-    assert result.policy.cfg.teacher_final_distance == 1.25
+    original = training.build_cell
+
+    def build_cell(cfg, init_rng):
+        cell = original(cfg, init_rng)
+        for name in ("forward", "hidden_forward", "backward"):
+            setattr(cell[2].id_net, name, refuse)
+        return cell
+
+    monkeypatch.setattr(training, "build_cell", build_cell)
+    cfg = RunConfig(method=method, env=env, teacher="detm", episodes=60,
+                    seed=1, probe_every=20, eval_every=30)
+    result = run_training(cfg)
+    assert any(row["query_rate"] > 0.0 for row in result.rows)
+    assert result.agent.id_net.params.version == 0
+    initial = original(cfg, np.random.default_rng(cfg.seed).spawn(1)[0])[2]
+    trained = result.agent.param_arrays()
+    for name, value in initial.param_arrays().items():
+        assert (np.array_equal(trained[name], value)
+                == name.startswith("id.")), name
+
+
+def test_run_training_never_rolls_d_star_out(monkeypatch, tmp_path):
+    """Every reference action lowers the goal distance by one and no env has
+    a horizon shorter than its start's distance, so d* is 0 everywhere and
+    no cell rolls it out: not a hindsight cell on the maze, nor one on a
+    map of its own."""
+    def refuse(*args):
+        raise AssertionError("d* rolled out")
+
+    for module in (teachers, training):  # wherever the function is bound
+        monkeypatch.setattr(module, "estimate_teacher_final_distance", refuse,
+                            raising=False)
+    map_path = tmp_path / "map.txt"
+    map_path.write_text("S...#\n.##..\n....G\n")
+    for method, map_file in (("apil", None), ("phil-ignore", map_path)):
+        result = run_training(RunConfig(method=method, env="maze",
+                                        map_path=map_file, teacher="tworand",
+                                        episodes=2, probe_every=0))
+        assert result.policy.cfg.teacher_final_distance == 0.0
 
 
 def test_untrained_apil_queries_about_half_the_time():
@@ -287,7 +325,6 @@ def test_config_builds_its_policy_and_estimate_configs():
     assert cfg.apil == ApilConfig(sigma=3.0, epsilon=0.5)
     assert (cfg.uncertainty.n1, cfg.uncertainty.n2) == (7, 4)
     assert [(u.n1, u.n2) for u in cfg.inflation] == [(5, 4), (50, 4)]
-    assert cfg.d_star_rollouts == 100 and "d_star_rollouts" not in asdict(cfg)
 
 
 ODD_NUMBERS = st.one_of(st.integers(-2, 3), st.floats(-2.0, 3.0),
