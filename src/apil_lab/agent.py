@@ -47,10 +47,11 @@ bits do not depend on the other rows. A posterior fill also writes the
 policy rows, the softmax of its mean logits, so a method that reads both
 runs one policy-net forward per weight change.
 
-A one-teacher agent never runs its identity net: the softmax of one finite
-logit is exactly 1.0, and the identity loss and gradient are exactly 0.0,
-so the rho fill returns ones, ``exe_losses`` returns zero id losses, and
-the net keeps the initial draw it is still built with.
+A one-teacher agent never runs its identity net and draws no identity: the
+softmax of one finite logit is exactly 1.0, and the identity loss and
+gradient are exactly 0.0, so the rho fill returns ones, ``exe_losses``
+returns zero id losses, the mean policy is bitwise the policy row, and the
+net keeps the initial draw it is still built with.
 
 Its one invariant: every entry is read through ``_entry``, which drops the
 table when either net's ``ParamSet.version`` moves. Weights change only
@@ -201,9 +202,12 @@ class PersonaAgent:
         The ``n`` identities are drawn from rho's table cdf, and all K
         policy rows are mixed by their draw counts; the mean of each vector
         of counts is kept in the table, so a state's repeat draw reads it.
+        One identity takes no draw: its mean ``[n] / n @ P`` is ``P[0]``.
         """
         if n < 1:
             raise ValueError("n must be positive")
+        if self.n_teachers == 1:
+            return self._per_state("policy", features)[0][0]
         cdf = self.identity_cdf(features)
         counts = np.bincount(draw(cdf, rng, n), minlength=self.n_teachers)
         return self._entry(

@@ -88,7 +88,8 @@ RUN_FIELDS = {
     "eval": ("env", "map_path", "teacher", "seed", "episodes", "tau",
              "err_threshold", "n1", "n2", "method"),
     "sweep": ("env", "map_path", "episodes", "lr", "sigma", "epsilon", "tau",
-              "err_threshold", "n1", "n2", "probe_every", "probe_rollouts"),
+              "err_threshold", "n1", "n2", "probe_every", "probe_rollouts",
+              "eval_every"),
     "uncertainty-report": ("env", "map_path", "teacher", "seed", "n1", "n2"),
 }
 _RUN_FLAG_KEYWORDS = {  # a run flag's argparse keywords, if not its type

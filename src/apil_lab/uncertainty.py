@@ -22,7 +22,8 @@ N1 identity uniforms in one ``random`` call. So a stack leaves the stream
 where one call per state would, and each of its reports is bitwise that
 call's report. The identities are picked from rho's cdf as the agent holds
 it (``PersonaAgent.identity_cdf``: the table entry at one state, the stacked
-cdf for a stack), so the estimate builds no cdf of its own.
+cdf for a stack), so the estimate builds no cdf of its own. With one
+identity every pick is 0, so none is drawn and every weight is exactly 1.
 """
 from __future__ import annotations
 
@@ -115,6 +116,10 @@ def _draws(cdf: np.ndarray, shape: tuple[int, int], cfg: UncertaintyConfig,
     """A state's N2 draws of ``shape`` (A x K) standard normals, then its N2
     x N1 identity picks from rho's ``cdf``. Over a stack of cdf rows they
     are taken state by state, in order, and written into one stack each."""
+    if cdf.shape[-1] == 1:  # every pick is 0: a stack's normals are one call
+        lead = (*cdf.shape[:-1], cfg.n2)
+        return (rng.standard_normal((*lead, *shape)),
+                np.zeros((*lead, cfg.n1), dtype=np.intp))
     if cdf.ndim == 1:
         return (rng.standard_normal((cfg.n2, *shape)),
                 draw(cdf, rng, (cfg.n2, cfg.n1)))

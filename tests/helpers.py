@@ -84,14 +84,16 @@ def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
     identity at a time.
 
     It takes its numbers in the estimate's order, one call per draw: the N2
-    draws of A x K normals, then N2 times N1 identities with ``rng.choice``.
-    Each draw forms its logits with ``drawn_logits`` and evaluates one
-    softmax per distinct identity, mixed by counts.
+    draws of A x K normals, then N2 times N1 identities with ``rng.choice``,
+    except that one identity is picked without a draw. Each draw forms its
+    logits with ``drawn_logits`` and evaluates one softmax per distinct
+    identity, mixed by counts.
     """
     rho = agent.identity_probs(features)
     mean, factor = agent.logit_posterior(features)
     normals = [rng.standard_normal(factor.shape[:2]) for _ in range(cfg.n2)]
-    picks = [rng.choice(agent.n_teachers, size=cfg.n1, p=rho)
+    picks = [np.zeros(cfg.n1, dtype=int) if agent.n_teachers == 1
+             else rng.choice(agent.n_teachers, size=cfg.n1, p=rho)
              for _ in range(cfg.n2)]
     behavioral_terms = np.empty(cfg.n2)
     intrinsic_terms = np.empty(cfg.n2)
@@ -121,10 +123,12 @@ def per_draw_estimate(agent, features, cfg: UncertaintyConfig, rng,
 
 def per_identity_mean_exe_policy(agent, features, n, rng):
     """Loop oracle for ``agent.mean_exe_policy``: one policy row per identity
-    drawn, accumulated in ascending identity order."""
+    drawn, accumulated in ascending identity order. With one identity the
+    counts are ``[n]``, taken without a draw."""
     rho = agent.identity_probs(features)
-    counts = np.bincount(draw(categorical_cdf(rho), rng, n),
-                         minlength=agent.n_teachers)
+    counts = (np.array([n]) if agent.n_teachers == 1 else
+              np.bincount(draw(categorical_cdf(rho), rng, n),
+                          minlength=agent.n_teachers))
     mean = np.zeros(agent.n_actions)
     for k in np.flatnonzero(counts):
         mean += (counts[k] / n) * agent.policy_probs(features, int(k))

@@ -242,6 +242,24 @@ def test_sweep_manifest_and_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_eval_every_writes_the_cells_eval_csv(tmp_path, capsys):
+    """A sweep cell with ``--eval-every`` writes the ``.eval.csv`` that
+    ``train`` of the same cell writes, byte for byte."""
+    cell = ["--env", "maze", "--episodes", "20", "--eval-every", "10"]
+    assert main(["sweep", *cell, "--methods", "dagger", "--teachers",
+                 "tworand", "--seeds", "3", "--outdir", str(tmp_path / "s"),
+                 "--jobs", "1"]) == EXIT_OK
+    train = tmp_path / "t" / "m.csv"
+    assert main(["train", *cell, "--method", "dagger", "--teacher",
+                 "tworand", "--seed", "3", "--out", str(train)]) == EXIT_OK
+    swept = tmp_path / "s" / "dagger_tworand_s3.csv.eval.csv"
+    assert swept.read_bytes() == Path(f"{train}.eval.csv").read_bytes()
+    assert len(read_csv(swept)) == 2
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["base_config"]["eval_every"] == 10
+    capsys.readouterr()
+
+
 def test_sweep_rejects_empty_lists(tmp_path, capsys):
     code = main(["sweep", "--methods", "", "--outdir", str(tmp_path / "s")])
     assert code == EXIT_USAGE

@@ -1,4 +1,5 @@
 """Unit tests for the episode loop, training runs, and CSV logging."""
+import hashlib
 import math
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -460,3 +461,30 @@ def test_inflation_series_leaves_the_metrics_unchanged(tmp_path):
     assert Path(str(inflated) + ".inflation.csv").exists()
     assert not Path(str(plain) + ".inflation.csv").exists()
     assert plain.read_bytes() == inflated.read_bytes()
+
+
+def _pinned_sha256(name: str) -> dict[str, str]:
+    """``sha256sum``-style lines of a file beside this one, by path."""
+    lines = (Path(__file__).parent / name).read_text().splitlines()
+    return {path: digest for digest, path in
+            (line.split("  ") for line in lines if not line.startswith("#"))}
+
+
+def test_two_teacher_cells_keep_their_bytes(tmp_path):
+    """Every method's two-teacher cells, with probes, eval and inflation on,
+    write the CSVs pinned beside this file: the one-teacher paths that draw
+    no identity leave every K >= 2 draw, and its order, as it was."""
+    pinned = _pinned_sha256("two_teacher_sha256.txt")
+    assert len(pinned) == 2 * 2 * len(METHODS) * 3
+    for env in ("grid", "maze"):
+        for teacher in ("tworand", "twodifdetm"):
+            for method in METHODS:
+                name = f"{env}_{teacher}_{method}.csv"
+                run_training(RunConfig(env=env, teacher=teacher, method=method,
+                                       episodes=30, probe_every=5,
+                                       inflation_n1s=(2, 8), eval_every=10),
+                             out_path=tmp_path / name)
+                for suffix in ("", ".eval.csv", ".inflation.csv"):
+                    data = (tmp_path / (name + suffix)).read_bytes()
+                    assert (hashlib.sha256(data).hexdigest()
+                            == pinned[name + suffix]), name + suffix

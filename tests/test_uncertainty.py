@@ -121,6 +121,31 @@ def test_estimate_deterministic_single_teacher_is_all_zero():
             rep.model) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_one_teacher_pick_draws_nothing(k):
+    """With one identity every pick is 0: the mean policy is bitwise the
+    policy row and takes no number, and the estimate takes its normals
+    alone. With two, the mean takes its N1 uniforms and the estimate its
+    N2 x N1 after the normals."""
+    env = make_env("maze", None)
+    agent = PersonaAgent(env.state_dim, env.n_actions, k,
+                         np.random.default_rng(0))
+    features = env.encode(env.reset())
+    cfg = UncertaintyConfig(5, 3)
+    ours, twin = np.random.default_rng(1), np.random.default_rng(1)
+    mean = agent.mean_exe_policy(features, cfg.n1, ours)
+    if k == 1:
+        assert mean.tobytes() == agent.policy_probs(features, 0).tobytes()
+    else:
+        twin.random(cfg.n1)
+    assert ours.bit_generator.state == twin.bit_generator.state
+    estimate(agent, features, cfg, ours)
+    twin.standard_normal((cfg.n2, env.n_actions, k))
+    if k > 1:
+        twin.random((cfg.n2, cfg.n1))
+    assert ours.bit_generator.state == twin.bit_generator.state
+
+
 def test_estimate_two_delta_committee_limits():
     agent = _StubAgent([0.5, 0.5], [DELTA, DELTA[::-1]])
     rep = estimate(agent, np.zeros(4), UncertaintyConfig(10_000, 10),
