@@ -11,20 +11,18 @@ import argparse
 import glob
 import json
 import os
-import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import training
-from .envs import ENVS
 from .nncore import atomic_open, load_checkpoint, save_checkpoint
 from .query import NeverQueryPolicy
 from .teachers import TEACHER_MODELS
-from .training import (METHODS, RunConfig, final_query_rate,
-                       final_success_rate, read_csv, run_training, write_csv)
+from .training import (RunConfig, final_query_rate, final_success_rate,
+                       read_csv, run_training, write_csv)
 from .uncertainty import UncertaintyConfig, aggregate, estimate
 
 EXIT_OK = 0
@@ -32,8 +30,8 @@ EXIT_USAGE = 1
 EXIT_RUN_FAILURE = 2
 EXIT_CHECK_FAILURE = 3
 
-UNCERTAINTY_COLUMNS = ("state_id", "intrinsic", "extrinsic", "behavioral",
-                       "total", "model", "n1", "n2")
+UNCERTAINTY_COLUMNS = ("teacher", "state_id", "intrinsic", "extrinsic",
+                       "behavioral", "total", "model", "n1", "n2")
 
 # reference targets for the grid teachers, reported alongside measured values
 TABLE1_REFERENCE = {
@@ -78,9 +76,9 @@ def _inflation_n1s(text: str) -> tuple[int, ...]:
                                          f"got {text!r}") from None
 
 
-# The RunConfig fields each run command reads: its run flags and its
-# RunConfig are built from these, so a flag it would not read does not exist.
-# A sweep's cells take their method, teacher and seed from its lists.
+# The RunConfig fields each run command reads, one flag each: a flag it would
+# not read does not exist. A sweep's cells take their method, teacher and
+# seed from its lists.
 RUN_FIELDS = {
     "train": ("env", "map_path", "teacher", "seed", "episodes", "lr", "sigma",
               "epsilon", "tau", "err_threshold", "n1", "n2", "probe_every",
@@ -93,46 +91,41 @@ RUN_FIELDS = {
     "uncertainty-report": ("env", "map_path", "teacher", "seed", "n1", "n2"),
 }
 _RUN_FLAG_KEYWORDS = {  # a run flag's argparse keywords, if not its type
-    "env": {"choices": ENVS},
     "map_path": {"help": "maze map file (maze env only)"},
-    "teacher": {"choices": tuple(TEACHER_MODELS)},
-    "method": {"choices": METHODS},
     "inflation_n1s": {"type": _inflation_n1s, "help": "comma list of N1 "
                       "values for the inflation side CSV"},
 }
 
 
 def _add_run_args(p: argparse.ArgumentParser, command: str) -> None:
-    """The flags of the fields ``command`` reads; their defaults and rules
-    are RunConfig's."""
+    """The flags of the fields ``command`` reads. A flag not given sets
+    nothing, so its default and rules are RunConfig's."""
     for name in RUN_FIELDS[command]:
-        default = getattr(RunConfig, name)
         flag = "--map" if name == "map_path" else "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=name, default=default,
-                       **_RUN_FLAG_KEYWORDS.get(name, {"type": type(default)}))
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                       **_RUN_FLAG_KEYWORDS.get(
+                           name, {"type": type(getattr(RunConfig, name))}))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="apil-lab")
     parser.add_argument("--config", default=None,
-                        help="JSON file of defaults; explicit flags win")
+                        help="JSON object of RunConfig fields; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = {}
 
-    p = parser.subcommands["train"] = sub.add_parser(
+    p = sub.add_parser(
         "train", help="train one run and write its metrics CSV")
     _add_run_args(p, "train")
     p.add_argument("--out", default=None, help="metrics CSV path")
     p.add_argument("--save", default=None, help="checkpoint path")
 
-    p = parser.subcommands["eval"] = sub.add_parser(
-        "eval", help="evaluate a checkpoint without updates")
+    p = sub.add_parser("eval", help="evaluate a checkpoint without updates")
     _add_run_args(p, "eval")
     p.add_argument("--load", required=True, help="checkpoint path")
     p.add_argument("--greedy", action="store_true",
                    help="argmax of the mean policy instead of sampling")
 
-    p = parser.subcommands["sweep"] = sub.add_parser(
+    p = sub.add_parser(
         "sweep", help="run a grid of training cells in parallel")
     _add_run_args(p, "sweep")
     p.add_argument("--methods", default="apil,bc,dagger")
@@ -142,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=_at_least(0), default=0,
                    help="worker processes; 0 = available processors")
 
-    p = parser.subcommands["uncertainty-report"] = sub.add_parser(
+    p = sub.add_parser(
         "uncertainty-report",
         help="per-state uncertainty CSV for a trained checkpoint")
     _add_run_args(p, "uncertainty-report")
@@ -151,60 +144,36 @@ def build_parser() -> _Parser:
                    help="never-query walks whose visited states are reported")
     p.add_argument("--out", required=True)
 
-    p = parser.subcommands["report"] = sub.add_parser(
+    p = sub.add_parser(
         "report", help="aggregate CSVs into figure/table series")
     p.add_argument("--kind", choices=tuple(REPORTS), required=True)
     p.add_argument("--in", dest="inputs", required=True,
                    help="glob of input CSV files")
     p.add_argument("--out", required=True)
 
-    p = parser.subcommands["gradcheck"] = sub.add_parser(
-        "gradcheck", help="finite-difference gradient suites")
+    p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("--cases", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
-    """Load --config JSON into parser defaults; explicit flags still win."""
-    probe = _Parser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return argv
-    with open(known.config) as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        raise _UsageError("config file must hold a JSON object")
-    valid = {action.dest for p in (parser, *parser.subcommands.values())
-             for action in p._actions}
-    unknown = sorted(values.keys() - valid)
-    if unknown:
-        raise _UsageError(f"unknown config field {unknown[0]!r}")
-    for sp in parser.subcommands.values():
-        actions = {action.dest: action for action in sp._actions}
-        defaults = {}
-        for key, value in values.items():
-            action = actions.get(key)
-            if action is None:
-                continue
-            if action.choices is not None and value not in action.choices:
-                raise _UsageError(f"config field {key!r} must be one of "
-                                  f"{list(action.choices)}, got {value!r}")
-            if isinstance(value, list):  # a comma-list flag's text form
-                value = ",".join(map(str, value))
-            # a typed flag's default goes in as text, so argparse converts
-            # and checks it like a value given on the command line
-            defaults[key] = str(value) if action.type is not None else value
-        sp.set_defaults(**defaults)
-    return argv
-
-
 def _run_config(args) -> RunConfig:
-    """The RunConfig of a run command's flags; building it checks them."""
-    return RunConfig(**{name: getattr(args, name)
-                        for name in RUN_FIELDS[args.command]})
+    """The run's RunConfig: the ``--config`` file's fields, overridden by the
+    run flags given. Building it checks both."""
+    values = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise _UsageError("config file must hold a JSON object")
+        unknown = sorted(values.keys() - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise _UsageError(f"unknown config field {unknown[0]!r}")
+    run_flags = RUN_FIELDS.get(args.command, ())
+    flags = {name: getattr(args, name) for name in run_flags
+             if hasattr(args, name)}
+    return RunConfig(**{**values, **flags})
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -366,7 +335,8 @@ def cmd_uncertainty_report(args, cfg: RunConfig) -> int:
     agent.load_arrays(load_checkpoint(args.load))
     rows = uncertainty_report_rows(agent, env, committee, args.eval_episodes,
                                    cfg.uncertainty, rng)
-    write_csv(args.out, UNCERTAINTY_COLUMNS, rows)
+    write_csv(args.out, UNCERTAINTY_COLUMNS,
+              [{"teacher": cfg.teacher, **row} for row in rows])
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -376,14 +346,6 @@ def _glob_inputs(pattern: str) -> list[Path]:
     if not paths:
         raise FileNotFoundError(f"no files match {pattern!r}")
     return paths
-
-
-def _teacher_of_file(path: Path) -> str | None:
-    tokens = re.split(r"[^a-z0-9]+", path.name.lower())
-    for teacher in TEACHER_MODELS:
-        if teacher in tokens:
-            return teacher
-    return None
 
 
 def _report_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
@@ -398,42 +360,39 @@ def _report_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
 def make_table1(paths: list[Path]) -> list[dict]:
     """Mean intrinsic/extrinsic per teacher from uncertainty-report CSVs.
 
-    Files name their teacher as a filename token (e.g. uncrep_tworand_s0.csv);
+    Each file's mean rows name their teacher in the ``teacher`` column;
     every teacher must be present, and every file must hold a mean row.
     """
-    by_teacher: dict[str, list[Path]] = {t: [] for t in TEACHER_MODELS}
+    by_teacher: dict[str, list[dict]] = {t: [] for t in TEACHER_MODELS}
     for path in paths:
-        teacher = _teacher_of_file(path)
-        if teacher is not None:
-            by_teacher[teacher].append(path)
-    missing = [t for t, files in by_teacher.items() if not files]
+        means = [row for row in _report_rows(path, ("teacher", "state_id",
+                                                    "intrinsic", "extrinsic"))
+                 if row["state_id"] == "mean"]
+        if not means:
+            raise ValueError(f"{path} has no 'mean' row")
+        for row in means:
+            if row["teacher"] not in by_teacher:
+                raise ValueError(f"{path} names an unknown teacher "
+                                 f"{row['teacher']!r}")
+            by_teacher[row["teacher"]].append(row)
+    missing = [t for t, rows in by_teacher.items() if not rows]
     if missing:
         raise ValueError(f"no uncertainty reports for teachers: {missing}")
-    out = []
-    for teacher in TEACHER_MODELS:
-        intr, extr = [], []
-        for path in by_teacher[teacher]:
-            means = [row for row in _report_rows(path, ("state_id", "intrinsic",
-                                                        "extrinsic"))
-                     if row["state_id"] == "mean"]
-            if not means:
-                raise ValueError(f"{path} has no 'mean' row")
-            intr.extend(float(row["intrinsic"]) for row in means)
-            extr.extend(float(row["extrinsic"]) for row in means)
-        ref_intr, ref_extr = TABLE1_REFERENCE[teacher]
-        out.append({"teacher": teacher,
-                    "intrinsic": float(np.mean(intr)),
-                    "extrinsic": float(np.mean(extr)),
-                    "ref_intrinsic": ref_intr, "ref_extrinsic": ref_extr})
-    return out
+    mean = lambda rows, col: float(np.mean([float(r[col]) for r in rows]))
+    return [{"teacher": teacher, "intrinsic": mean(rows, "intrinsic"),
+             "extrinsic": mean(rows, "extrinsic"),
+             "ref_intrinsic": TABLE1_REFERENCE[teacher][0],
+             "ref_extrinsic": TABLE1_REFERENCE[teacher][1]}
+            for teacher, rows in by_teacher.items()]
 
 
 def make_fig4(paths: list[Path]) -> list[dict]:
-    """Mean query rate per (method, teacher, episode) across seeds."""
+    """Mean query rate per (method, teacher, episode) across seeds, from
+    metrics CSVs: an eval CSV has no ``success`` column, so it is refused."""
     acc: dict[tuple[str, str, int], list[float]] = {}
     for path in paths:
         for row in _report_rows(path, ("method", "teacher", "episode",
-                                       "query_rate")):
+                                       "query_rate", "success")):
             key = (row["method"], row["teacher"], int(row["episode"]))
             acc.setdefault(key, []).append(float(row["query_rate"]))
     return [{"method": m, "teacher": t, "episode": e,
@@ -490,12 +449,9 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        cfg = _run_config(args) if args.command in RUN_FIELDS else None
+        args = build_parser().parse_args(argv)
+        cfg = _run_config(args)
     except (_UsageError, OSError, ValueError) as exc:  # JSONDecodeError too
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

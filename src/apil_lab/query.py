@@ -2,10 +2,10 @@
 
 A finished trajectory only carries distances at queried steps plus the final
 step. Hindsight labeling sweeps backward over those observations: a step is
-"progressable" when the final gap is within epsilon or some later observed
-pair shrinks the gap by a factor sigma, and progressable steps are labeled
-continue while the rest are labeled query. The ignore variant additionally
-compares the label against what the agent actually did.
+"progressable" when the final distance is within epsilon or some later
+observed pair shrinks the distance by a factor sigma, and progressable steps
+are labeled continue while the rest are labeled query. The ignore variant
+additionally compares the label against what the agent actually did.
 
 The learned ask decision is drawn from its two logits in Python floats, by
 the operations of ``softmax``, ``categorical_cdf`` and ``draw``, so the choice
@@ -64,7 +64,6 @@ class Trajectory:
 class ApilConfig:
     sigma: float = 2.0
     epsilon: float = 0.0
-    teacher_final_distance: float = 0.0
 
     def __post_init__(self):  # each test is written so that nan fails it
         if not 1.0 < self.sigma < np.inf:
@@ -77,19 +76,19 @@ class ApilConfig:
 def progress_flags(traj: Trajectory, cfg: ApilConfig) -> list[bool]:
     """Per-step progressable flags from one backward sweep over observations.
 
-    The epsilon test uses the raw final distance; the sigma test compares the
-    gap at each queried step against the minimum over later observed gaps,
-    seeded with the final gap.
+    The epsilon test uses the final distance; the sigma test compares the
+    distance at each queried step against the minimum over later observed
+    ones, seeded with the final one (d*, the teachers' final distance, is 0).
     """
     traj.validate()
     T = traj.horizon
-    gap = lambda t: traj.distances[t] - cfg.teacher_final_distance
-    g_min = gap(T)
-    progress = traj.distances[T] <= cfg.epsilon
+    d = traj.distances
+    g_min = d[T]
+    progress = d[T] <= cfg.epsilon
     flags = [False] * T
     for t in reversed(range(T)):
         if traj.steps[t].ask_action == ASK_QUERY:
-            g_t = gap(t)
+            g_t = d[t]
             progress = progress or g_t >= cfg.sigma * g_min
             g_min = min(g_min, g_t)
         flags[t] = progress

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ METRICS_COLUMNS = ("episode", "method", "teacher", "env", "seed", "query_rate",
 
 INFLATION_COLUMNS = ("episode", "method", "teacher", "env", "seed", "n1", "model")
 
+EVAL_EPISODES = 20  # frozen episodes of each periodic eval
+
 EVAL_COLUMNS = ("episode", "method", "teacher", "env", "seed", "query_rate",
                 "success_rate", "mean_final_dist")
 
@@ -44,11 +47,13 @@ EVAL_COLUMNS = ("episode", "method", "teacher", "env", "seed", "query_rate",
 @dataclass(frozen=True)
 class RunConfig:
     """One run cell: the one place of its defaults and value rules, all
-    checked when it is built. Every count is an integer. The sigma/epsilon
-    rules and the n1/n2 bounds are those of the ``apil``, ``uncertainty``
-    and ``inflation`` configs it builds."""
+    checked when it is built. ``map_path`` is None or a path; every count is
+    an integer (numpy's too), every float field a real number, and neither
+    is a bool. A list of ``inflation_n1s`` is kept as a tuple. The
+    sigma/epsilon rules and the n1/n2 bounds are those of the ``apil``,
+    ``uncertainty`` and ``inflation`` configs it builds."""
     env: str = "grid"
-    map_path: str | None = None
+    map_path: str | os.PathLike | None = None
     teacher: str = "detm"
     method: str = "apil"
     episodes: int = 1000
@@ -64,7 +69,6 @@ class RunConfig:
     probe_rollouts: int = 3
     inflation_n1s: tuple[int, ...] = ()
     eval_every: int = 0
-    eval_episodes: int = 20
 
     def __post_init__(self):
         for name, choices in (("env", ENVS), ("teacher", tuple(TEACHER_MODELS)),
@@ -72,31 +76,39 @@ class RunConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"expected one of {choices}")
-        if self.map_path is not None and self.env != "maze":
-            raise ValueError(f"--map needs --env maze, got --env {self.env}")
-        whole = lambda v: isinstance(v, numbers.Integral)  # numpy's too
+        real = lambda v: isinstance(v, numbers.Real) and type(v) is not bool
+        whole = lambda v: real(v) and isinstance(v, numbers.Integral)
+        path = lambda v: v is None or isinstance(v, (str, os.PathLike))
         # (field, test, what the test asks); nan fails every test
         for name, test, rule in (
+                ("map_path", path, "be None or a file path"),
                 *((name, lambda v: whole(v) and v >= 1,
                    "be at least 1 and an integer") for name in
-                  ("episodes", "probe_rollouts", "eval_episodes")),
+                  ("episodes", "probe_rollouts")),
                 *((name, lambda v: whole(v) and v >= 0,
                    "be at least 0 and an integer") for name in
                   ("seed", "probe_every", "eval_every")),
                 *((name, whole, "be an integer") for name in ("n1", "n2")),
-                ("inflation_n1s", lambda v: all(whole(n1) and n1 >= 1
-                                                for n1 in v),
-                 "each be at least 1 and an integer"),
-                ("lr", lambda v: 0.0 < v < np.inf, "be positive and finite"),
-                ("tau", np.isfinite, "be finite"),
-                ("err_threshold", np.isfinite, "be finite")):
+                ("inflation_n1s", lambda v: isinstance(v, (list, tuple))
+                 and all(whole(n1) and n1 >= 1 for n1 in v),
+                 "be a list of integers, each at least 1"),
+                ("lr", lambda v: real(v) and 0.0 < v < np.inf,
+                 "be positive and finite"),
+                *((name, lambda v: real(v) and -np.inf < v < np.inf,
+                   "be finite")
+                  for name in ("tau", "err_threshold")),
+                *((name, real, "be a real number")
+                  for name in ("sigma", "epsilon"))):
             value = getattr(self, name)
             if not test(value):
-                raise ValueError(f"{name} must {rule}, got {value}")
+                raise ValueError(f"{name} must {rule}, got {value!r}")
+        if self.map_path is not None and self.env != "maze":
+            raise ValueError(f"--map needs --env maze, got --env {self.env}")
         if self.inflation_n1s and self.probe_every == 0:
             raise ValueError("inflation_n1s needs probe_every above 0: the "
                              "series is measured at the probes")
-        built = {"apil": ApilConfig(self.sigma, self.epsilon),
+        built = {"inflation_n1s": tuple(self.inflation_n1s),
+                 "apil": ApilConfig(self.sigma, self.epsilon),
                  "uncertainty": UncertaintyConfig(self.n1, self.n2),
                  "inflation": tuple(UncertaintyConfig(n1, self.n2)
                                     for n1 in self.inflation_n1s)}
@@ -311,7 +323,7 @@ def run_training(cfg: RunConfig, out_path=None) -> RunResult:
 
         if cfg.eval_every and (episode + 1) % cfg.eval_every == 0:
             summary = evaluate(agent, policy, env, committee,
-                               cfg.eval_episodes, eval_rng, n1=cfg.n1)
+                               EVAL_EPISODES, eval_rng, n1=cfg.n1)
             eval_rows.append({"episode": episode, **tag, **summary})
 
     if out_path is not None:

@@ -60,7 +60,8 @@ def uncertainty_report_files(dagger_runs, tmp_path_factory):
                                        UncertaintyConfig(),
                                        np.random.default_rng(seed))
         path = outdir / f"uncrep_{teacher}_s{seed}.csv"
-        write_csv(path, UNCERTAINTY_COLUMNS, rows)
+        write_csv(path, UNCERTAINTY_COLUMNS,
+                  [{"teacher": teacher, **row} for row in rows])
         paths[(teacher, seed)] = path
     return paths
 

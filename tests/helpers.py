@@ -32,11 +32,10 @@ def brute_force_labels(T, queried, distances, cfg: ApilConfig):
     """Direct evaluation of the progress conditions, without the backward sweep.
 
     A step t is progressable when the final distance is within epsilon, or some
-    queried step i >= t has a gap at least sigma times the gap of a later
-    observed step j (observed = queried steps plus the final step).
+    queried step i >= t has a distance at least sigma times the distance of a
+    later observed step j (observed = queried steps plus the final step).
     """
     observed = sorted(distances)
-    gaps = {t: distances[t] - cfg.teacher_final_distance for t in distances}
     labels = []
     for t in range(T):
         ok = distances[T] <= cfg.epsilon
@@ -45,7 +44,7 @@ def brute_force_labels(T, queried, distances, cfg: ApilConfig):
                 if i < t:
                     continue
                 for j in observed:
-                    if j > i and gaps[i] >= cfg.sigma * gaps[j]:
+                    if j > i and distances[i] >= cfg.sigma * distances[j]:
                         ok = True
         labels.append(ASK_CONTINUE if ok else ASK_QUERY)
     return labels

@@ -146,8 +146,7 @@ def test_acceptance_07_hindsight_label_oracle():
         T = int(rng.integers(1, 9))
         d = [float(rng.integers(0, 17)) / 2.0 for _ in range(T + 1)]
         cfg = ApilConfig(sigma=float(rng.choice((1.5, 2.0, 3.0))),
-                         epsilon=float(rng.choice((0.0, 0.5, 1.0))),
-                         teacher_final_distance=float(rng.choice((0.0, 0.5))))
+                         epsilon=float(rng.choice((0.0, 0.5, 1.0))))
         for bits in range(2 ** T):
             queried = {t for t in range(T) if bits >> t & 1}
             distances = {t: d[t] for t in sorted(queried | {T})}

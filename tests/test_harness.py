@@ -10,14 +10,14 @@ import pytest
 from apil_lab.agent import HEAD_PRECISION_NAME, PersonaAgent
 from apil_lab.envs import make_env
 from apil_lab.harness import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
-                              TABLE1_REFERENCE, UNCERTAINTY_COLUMNS,
-                              _teacher_of_file, main, make_table1,
-                              uncertainty_report_rows, visited_state_weights)
+                              TABLE1_REFERENCE, UNCERTAINTY_COLUMNS, main,
+                              make_table1, uncertainty_report_rows,
+                              visited_state_weights)
 from apil_lab.nncore import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                              load_checkpoint, save_checkpoint)
 from apil_lab.teachers import make_committee
-from apil_lab.training import (METRICS_COLUMNS, RunConfig, read_csv,
-                               run_training, write_csv)
+from apil_lab.training import (EVAL_COLUMNS, METRICS_COLUMNS, RunConfig,
+                               read_csv, run_training, write_csv)
 from apil_lab.uncertainty import UncertaintyConfig
 
 FAST = ["--episodes", "2", "--probe-every", "0"]
@@ -32,11 +32,11 @@ def _train(tmp_path, *extra):
     return out, ckpt
 
 
-def _mean_row(intrinsic, extrinsic):
+def _mean_row(teacher, intrinsic, extrinsic):
     behavioral = intrinsic + extrinsic
-    return {"state_id": "mean", "intrinsic": intrinsic, "extrinsic": extrinsic,
-            "behavioral": behavioral, "total": behavioral, "model": 0.0,
-            "n1": 5, "n2": 10}
+    return {"teacher": teacher, "state_id": "mean", "intrinsic": intrinsic,
+            "extrinsic": extrinsic, "behavioral": behavioral,
+            "total": behavioral, "model": 0.0, "n1": 5, "n2": 10}
 
 
 def test_usage_errors_exit_1(capsys):
@@ -61,12 +61,14 @@ def test_bad_flag_values_exit_1(flags, tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("n1", 0), ("n1", 2.5), ("n1", "x"), ("n1", None), ("teacher", "bogus"),
+    ("n1", "5"), ("inflation_n1s", "5,50"), ("map_path", 0), ("seed", True),
 ])
 def test_bad_flag_values_from_a_config_file_exit_1(field, value, tmp_path,
                                                    capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))
-    assert main(["--config", str(cfg), "train", *FAST]) == EXIT_USAGE
+    assert main(["--config", str(cfg), "train", "--env", "maze",
+                 *FAST]) == EXIT_USAGE
     assert field in capsys.readouterr().err
 
 
@@ -77,7 +79,9 @@ def test_bad_flag_values_from_a_config_file_exit_1(field, value, tmp_path,
 ])
 def test_counts_that_are_not_run_values_keep_their_rule(
         command, field, value, from_config, tmp_path, capsys):
-    """Flags outside RunConfig check their own bound, before any work."""
+    """Flags outside RunConfig check their own bound, before any work. A
+    config file holds RunConfig's fields alone: such a key in it is refused
+    as unknown, before any work."""
     required = {"gradcheck": [],
                 "sweep": ["--outdir", str(tmp_path / "s")],
                 "uncertainty-report": ["--load", str(tmp_path / "a.ckpt"),
@@ -90,7 +94,8 @@ def test_counts_that_are_not_run_values_keep_their_rule(
     else:
         argv = [command, flag, str(value), *required[command]]
     assert main(argv) == EXIT_USAGE
-    assert f"{flag}: must be at least" in capsys.readouterr().err
+    assert (f"unknown config field {field!r}" if from_config
+            else f"{flag}: must be at least") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == ([config] if from_config else [])
 
 
@@ -113,18 +118,58 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
 
 
 def test_a_config_list_is_the_comma_list_flag_text(tmp_path, capsys):
-    outs = []
-    for form in ([5, 50], "5,50"):
-        cfg = tmp_path / f"{type(form).__name__}.json"
-        cfg.write_text(json.dumps({"inflation_n1s": form}))
-        outs.append(tmp_path / f"{type(form).__name__}.csv")
-        assert main(["--config", str(cfg), "train", "--episodes", "3",
-                     "--probe-every", "1", "--out", str(outs[-1])]) == EXIT_OK
+    """A JSON list in the file is the tuple the flag's comma text gives."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inflation_n1s": [5, 50]}))
+    outs = [tmp_path / "listed.csv", tmp_path / "flag.csv"]
+    run = ["train", "--episodes", "3", "--probe-every", "1"]
+    assert main(["--config", str(cfg), *run, "--out", str(outs[0])]) == EXIT_OK
+    assert main([*run, "--inflation-n1s", "5,50",
+                 "--out", str(outs[1])]) == EXIT_OK
     capsys.readouterr()
     for suffix in ("", ".inflation.csv"):
-        listed, text = (Path(str(out) + suffix).read_bytes() for out in outs)
-        assert listed == text
+        listed, flag = (Path(str(out) + suffix).read_bytes() for out in outs)
+        assert listed == flag
     assert b",50," in Path(str(outs[0]) + ".inflation.csv").read_bytes()
+
+
+def test_a_manifest_base_config_is_a_config_file(tmp_path, monkeypatch,
+                                                capsys):
+    """A sweep manifest's ``base_config``, passed back with ``--config``,
+    gives the bytes of the same values given as flags: ``train``'s CSVs,
+    ``eval``'s summary and ``uncertainty-report``'s CSV."""
+    values = ["--episodes", "20", "--probe-every", "5", "--sigma", "3.0",
+              "--lr", "0.01", "--n1", "3", "--n2", "4", "--eval-every", "10"]
+    cell = ["--method", "apil", "--teacher", "twodifdetm", "--seed", "3"]
+    assert main(["sweep", *values, "--methods", "apil", "--teachers",
+                 "twodifdetm", "--seeds", "3", "--outdir", str(tmp_path / "s"),
+                 "--jobs", "1"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps(manifest["base_config"]))
+    runs = {"config": ["--config", str(config)], "flags": []}
+    outputs = {}
+    for name, pre in runs.items():
+        train_flags = [] if pre else values
+        eval_flags = [] if pre else ["--episodes", "20", "--n1", "3",
+                                     "--n2", "4"]
+        report_flags = [] if pre else ["--n1", "3", "--n2", "4"]
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # stdout names relative paths
+        capsys.readouterr()
+        assert main([*pre, "train", *cell, *train_flags, "--out", "m.csv",
+                     "--save", "a.ckpt"]) == EXIT_OK
+        assert main([*pre, "eval", *cell, *eval_flags,
+                     "--load", "a.ckpt"]) == EXIT_OK
+        assert main([*pre, "uncertainty-report", *cell[2:], *report_flags,
+                     "--load", "a.ckpt", "--out", "u.csv"]) == EXIT_OK
+        outputs[name] = [capsys.readouterr().out, *(
+            Path(file).read_bytes() for file in ("m.csv", "m.csv.eval.csv",
+                                                 "u.csv"))]
+    assert outputs["config"] == outputs["flags"]
+    swept = (tmp_path / "s" / "apil_twodifdetm_s3.csv").read_bytes()
+    assert outputs["config"][1] == swept
+    assert "wrote 25 rows" in outputs["config"][0]
 
 
 REMOVED_FLAGS = [("eval", flag) for flag in (
@@ -160,8 +205,9 @@ def test_a_flag_the_command_does_not_read_exits_1(command, flag, tmp_path,
 @pytest.mark.parametrize("command", ["eval", "uncertainty-report"])
 def test_a_config_file_of_train_values_serves_every_run_command(
         command, tmp_path, capsys):
-    """Keys the command does not read (``sigma``, ``probe_every``, ``lr``)
-    are left to the commands that do: its run is the one without the file."""
+    """Keys the command has no flag for (``sigma``, ``probe_every``, ``lr``)
+    are checked but change none of its output: its run is the one without
+    the file."""
     _, ckpt = _train(tmp_path)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"sigma": 3.0, "probe_every": 0, "lr": 0.01,
@@ -182,6 +228,11 @@ def test_config_file_failure_modes(tmp_path, capsys):
     bad_key = tmp_path / "bad.json"
     bad_key.write_text(json.dumps({"bogus": 1}))
     assert main(["--config", str(bad_key), "gradcheck"]) == EXIT_USAGE
+    for key in ("out", "save", "load", "outdir"):  # a command's own flags
+        bad_key.write_text(json.dumps({key: str(tmp_path / "x")}))
+        assert main(["--config", str(bad_key), "train", *FAST]) == EXIT_USAGE
+        assert f"unknown config field {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
     assert main(["--config", str(malformed), "gradcheck"]) == EXIT_USAGE
@@ -341,16 +392,10 @@ def test_sweep_records_failed_cells(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_teacher_of_file_tokenizing():
-    assert _teacher_of_file(Path("uncrep_tworand_s0.csv")) == "tworand"
-    assert _teacher_of_file(Path("apil_rand_s1.csv")) == "rand"
-    assert _teacher_of_file(Path("nomatch.csv")) is None
-
-
 def test_make_table1_requires_every_teacher(tmp_path):
     for teacher in ("detm", "rand", "tworand"):
         write_csv(tmp_path / f"uncrep_{teacher}_s0.csv", UNCERTAINTY_COLUMNS,
-                  [_mean_row(0.1, 0.0)])
+                  [_mean_row(teacher, 0.1, 0.0)])
     with pytest.raises(ValueError, match="twodifdetm"):
         make_table1(sorted(tmp_path.glob("*.csv")))
 
@@ -360,10 +405,10 @@ def test_report_table1(tmp_path, capsys):
               "twodifdetm": (0.05, 0.4)}
     for teacher, (intr, extr) in values.items():
         write_csv(tmp_path / f"uncrep_{teacher}_s0.csv", UNCERTAINTY_COLUMNS,
-                  [_mean_row(intr, extr)])
+                  [_mean_row(teacher, intr, extr)])
     # second detm seed: table entries are means across files
     write_csv(tmp_path / "uncrep_detm_s1.csv", UNCERTAINTY_COLUMNS,
-              [_mean_row(0.3, 0.0)])
+              [_mean_row("detm", 0.3, 0.0)])
     out = tmp_path / "table1.csv"
     assert main(["report", "--kind", "table1", "--in",
                  str(tmp_path / "uncrep_*.csv"), "--out", str(out)]) == EXIT_OK
@@ -381,7 +426,7 @@ def test_report_table1_refuses_a_file_without_a_mean_row(tmp_path, capsys):
     error line that names the file, and no output."""
     for teacher in TABLE1_REFERENCE:
         write_csv(tmp_path / f"uncrep_{teacher}_s0.csv", UNCERTAINTY_COLUMNS,
-                  [] if teacher == "rand" else [_mean_row(0.1, 0.0)])
+                  [] if teacher == "rand" else [_mean_row(teacher, 0.1, 0.0)])
     out = tmp_path / "table1.csv"
     assert main(["report", "--kind", "table1", "--in",
                  str(tmp_path / "uncrep_*.csv"), "--out",
@@ -391,14 +436,49 @@ def test_report_table1_refuses_a_file_without_a_mean_row(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("file,teacher,message", [
+    ("uncrep_final.csv", "detm", None),
+    ("uncrep_rand_agent_on_detm.csv", "rand", None),
+    ("uncrep_detm_s1.csv", None, "no column 'teacher'"),
+    ("uncrep_detm_s1.csv", "bogus", "unknown teacher 'bogus'"),
+])
+def test_report_table1_reads_the_teacher_column(file, teacher, message,
+                                                tmp_path, capsys):
+    """A report counts for the teacher its rows name, whatever its file is
+    called; a file without the column, or with an unknown teacher, exits
+    2."""
+    for other in TABLE1_REFERENCE:
+        write_csv(tmp_path / f"uncrep_{other}_s0.csv", UNCERTAINTY_COLUMNS,
+                  [_mean_row(other, 0.5, 0.0)])
+    write_csv(tmp_path / file, [col for col in UNCERTAINTY_COLUMNS
+                                 if teacher or col != "teacher"],
+              [_mean_row(teacher, 0.1, 0.0)])
+    out = tmp_path / "table1.csv"
+    code = main(["report", "--kind", "table1", "--in",
+                 str(tmp_path / "uncrep_*.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    if message is None:  # the named teacher's mean takes the file's 0.1
+        assert code == EXIT_OK
+        assert {r["teacher"]: float(r["intrinsic"]) for r in read_csv(out)} \
+            == {t: 0.3 if t == teacher else 0.5 for t in TABLE1_REFERENCE}
+    else:
+        assert code == EXIT_RUN_FAILURE
+        assert message in err and file in err
+        assert not out.exists()
+
+
 def test_report_fig4(tmp_path, capsys):
-    cols = ("method", "teacher", "episode", "query_rate")
+    cols = ("method", "teacher", "episode", "query_rate", "success")
     write_csv(tmp_path / "apil_detm_s0.csv", cols, [
-        {"method": "apil", "teacher": "detm", "episode": 0, "query_rate": 1.0},
-        {"method": "apil", "teacher": "detm", "episode": 1, "query_rate": 0.5}])
+        {"method": "apil", "teacher": "detm", "episode": 0, "query_rate": 1.0,
+         "success": 1},
+        {"method": "apil", "teacher": "detm", "episode": 1, "query_rate": 0.5,
+         "success": 0}])
     write_csv(tmp_path / "apil_detm_s1.csv", cols, [
-        {"method": "apil", "teacher": "detm", "episode": 0, "query_rate": 0.0},
-        {"method": "apil", "teacher": "detm", "episode": 1, "query_rate": 0.5}])
+        {"method": "apil", "teacher": "detm", "episode": 0, "query_rate": 0.0,
+         "success": 1},
+        {"method": "apil", "teacher": "detm", "episode": 1, "query_rate": 0.5,
+         "success": 1}])
     out = tmp_path / "fig4.csv"
     assert main(["report", "--kind", "fig4", "--in",
                  str(tmp_path / "apil_*.csv"), "--out", str(out)]) == EXIT_OK
@@ -429,6 +509,7 @@ def test_report_fig5(tmp_path, capsys):
     ("table1", METRICS_COLUMNS, "state_id"),
     ("fig4", UNCERTAINTY_COLUMNS, "method"),
     ("fig5", METRICS_COLUMNS, "n1"),
+    ("fig4", EVAL_COLUMNS, "success"),  # a run's eval CSV is no metrics CSV
 ])
 def test_report_names_the_file_and_the_column_it_lacks(kind, columns, missing,
                                                        tmp_path, capsys):
@@ -493,7 +574,8 @@ def test_uncertainty_report_from_checkpoint_matches_trained_agent(tmp_path,
                                    make_committee("twodifdetm"), 5,
                                    UncertaintyConfig(), np.random.default_rng(3))
     expected = tmp_path / "in_memory.csv"
-    write_csv(expected, UNCERTAINTY_COLUMNS, rows)
+    write_csv(expected, UNCERTAINTY_COLUMNS,
+              [{"teacher": "twodifdetm", **row} for row in rows])
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -647,5 +729,6 @@ def test_visited_state_weights_counts():
 
 
 def test_uncertainty_columns_constant():
-    assert UNCERTAINTY_COLUMNS == ("state_id", "intrinsic", "extrinsic",
-                                   "behavioral", "total", "model", "n1", "n2")
+    assert UNCERTAINTY_COLUMNS == ("teacher", "state_id", "intrinsic",
+                                   "extrinsic", "behavioral", "total", "model",
+                                   "n1", "n2")

@@ -21,7 +21,7 @@ from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
 from apil_lab.teachers import TeacherResponse
 from apil_lab.uncertainty import UncertaintyConfig
 
-CFG = ApilConfig()  # sigma 2, epsilon 0, teacher final distance 0
+CFG = ApilConfig()  # sigma 2, epsilon 0
 
 
 def _ctx(rng=None, mean=(0.5, 0.5), train=True):
@@ -80,8 +80,7 @@ def test_progress_flags_are_monotone_and_match_brute_force():
         distances = {t: float(rng.integers(0, 17)) / 2.0
                      for t in sorted(queried | {T})}
         cfg = ApilConfig(sigma=float(rng.choice((1.5, 2.0, 3.0))),
-                         epsilon=float(rng.choice((0.0, 0.5, 1.0))),
-                         teacher_final_distance=float(rng.choice((0.0, 0.5))))
+                         epsilon=float(rng.choice((0.0, 0.5, 1.0))))
         traj = make_trajectory(T, queried, distances)
         flags = [int(f) for f in progress_flags(traj, cfg)]
         assert flags == sorted(flags, reverse=True)  # progress extends backward

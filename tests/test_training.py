@@ -132,7 +132,7 @@ def test_ask_decision_changes_no_output(method, env, teacher, tmp_path,
     too, writes the metrics and eval CSV bytes and trains the arrays of a
     run whose ask decisions take the vector path."""
     cfg = RunConfig(method=method, env=env, teacher=teacher, episodes=300,
-                    seed=3, eval_every=100, eval_episodes=10)
+                    seed=3, eval_every=100)
     fast = run_training(cfg, out_path=tmp_path / "fast.csv")
     monkeypatch.setattr(training, "HindsightQueryPolicy",
                         ReferenceHindsightPolicy)
@@ -210,10 +210,8 @@ def test_run_training_never_rolls_d_star_out(monkeypatch, tmp_path):
     map_path = tmp_path / "map.txt"
     map_path.write_text("S...#\n.##..\n....G\n")
     for method, map_file in (("apil", None), ("phil-ignore", map_path)):
-        result = run_training(RunConfig(method=method, env="maze",
-                                        map_path=map_file, teacher="tworand",
-                                        episodes=2, probe_every=0))
-        assert result.policy.cfg.teacher_final_distance == 0.0
+        run_training(RunConfig(method=method, env="maze", map_path=map_file,
+                               teacher="tworand", episodes=2, probe_every=0))
 
 
 def test_untrained_apil_queries_about_half_the_time():
@@ -307,8 +305,12 @@ def test_config_validation():
     ("sigma", math.nan), ("epsilon", -1.0), ("tau", math.nan), ("episodes", 0),
     ("inflation_n1s", (5, 0)), ("seed", -1), ("map_path", "map.txt"),
     ("env", "bogus"), ("n1", 2.5), ("n2", 4.0), ("episodes", 2.0),
-    ("seed", 1.5), ("probe_every", 5.0), ("eval_episodes", math.nan),
+    ("seed", 1.5), ("probe_every", 5.0), ("eval_every", math.nan),
     ("inflation_n1s", (5.0, 50.0)),
+    # a value of another type: each is refused by its field's rule
+    ("map_path", 0), ("map_path", 5), ("lr", "0.01"), ("tau", None),
+    ("seed", True), ("episodes", True), ("lr", True), ("epsilon", True),
+    ("episodes", "5"), ("inflation_n1s", "5,50"), ("inflation_n1s", 5),
 ])
 def test_config_rejects_each_bad_value(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
@@ -329,15 +331,18 @@ def test_config_builds_its_policy_and_estimate_configs():
 
 
 ODD_NUMBERS = st.one_of(st.integers(-2, 3), st.floats(-2.0, 3.0),
-                        st.sampled_from([math.nan, math.inf, -math.inf]))
+                        st.sampled_from([math.nan, math.inf, -math.inf,
+                                         True, False, None, "1", "0.5"]))
 DEFAULTS = asdict(RunConfig())
 ODD_VALUES = {
     **{name: ODD_NUMBERS for name in DEFAULTS},
     "env": st.sampled_from(["grid", "maze", "bogus"]),
-    "map_path": st.sampled_from([None, "map.txt"]),
+    "map_path": st.sampled_from([None, "map.txt", Path("map.txt"), 0, 5]),
     "teacher": st.sampled_from([*TEACHER_MODELS, "bogus"]),
     "method": st.sampled_from([*METHODS, "bogus"]),
-    "inflation_n1s": st.lists(ODD_NUMBERS, max_size=3).map(tuple),
+    "inflation_n1s": st.one_of(st.lists(ODD_NUMBERS, max_size=3),
+                               st.lists(ODD_NUMBERS, max_size=3).map(tuple),
+                               st.sampled_from(["5,50", 5])),
 }
 
 
@@ -352,17 +357,25 @@ def run_values(draw):
 
 def _breaks_a_rule(v) -> bool:
     """The run rules, stated apart from RunConfig; nan fails each. Every
-    count is an integer (a float such as 2.0 is not) and has a lower bound."""
+    count is an integer (a float such as 2.0 is not) and has a lower bound;
+    every float field is a number; a bool is neither; the map is None or a
+    path; the N1 list is a list or a tuple."""
     at_least = {"episodes": 1, "n1": 1, "n2": 1, "probe_rollouts": 1,
-                "eval_episodes": 1, "seed": 0, "probe_every": 0,
-                "eval_every": 0}
-    integer = lambda x: isinstance(x, (int, np.integer))
+                "seed": 0, "probe_every": 0, "eval_every": 0}
+    integer = lambda x: (isinstance(x, (int, np.integer))
+                         and not isinstance(x, bool))
+    number = lambda x: integer(x) or isinstance(x, float)
+    if not all(number(v[name]) for name in
+               ("lr", "sigma", "epsilon", "tau", "err_threshold")):
+        return True
     return (v["env"] not in ("grid", "maze")
             or v["teacher"] not in TEACHER_MODELS
             or v["method"] not in METHODS
+            or not isinstance(v["map_path"], (type(None), str, Path))
             or (v["map_path"] is not None and v["env"] != "maze")
             or not all(integer(v[name]) and v[name] >= low
                        for name, low in at_least.items())
+            or not isinstance(v["inflation_n1s"], (list, tuple))
             or not all(integer(n1) and n1 >= 1 for n1 in v["inflation_n1s"])
             or (bool(v["inflation_n1s"]) and v["probe_every"] == 0)
             or not 0.0 < v["lr"] < math.inf
@@ -375,6 +388,8 @@ def _breaks_a_rule(v) -> bool:
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @example(DEFAULTS)
 @example({**DEFAULTS, "inflation_n1s": (5,), "probe_every": 0})
+@example({**DEFAULTS, "env": "maze", "map_path": 0})  # fd 0 is no map path
+@example({**DEFAULTS, "env": "maze", "map_path": Path("map.txt")})
 @given(run_values())
 def test_config_raises_exactly_when_a_rule_fails(values):
     if _breaks_a_rule(values):
@@ -444,8 +459,7 @@ def test_periodic_eval_leaves_the_other_outputs_unchanged(tmp_path):
     plain = tmp_path / "plain" / "m.csv"
     evaluated = tmp_path / "eval" / "m.csv"
     run_training(cfg, out_path=plain)
-    run_training(replace(cfg, eval_every=10, eval_episodes=3),
-                 out_path=evaluated)
+    run_training(replace(cfg, eval_every=10), out_path=evaluated)
     assert Path(str(evaluated) + ".eval.csv").exists()
     for suffix in ("", ".inflation.csv"):
         assert Path(str(plain) + suffix).read_bytes() \
