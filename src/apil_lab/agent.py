@@ -39,13 +39,12 @@ rho, the policy rows and the posterior depend only on the weights and the
 state, so they are filled by stack. The agent keeps the features of every
 state it has been asked about at one state: at most the distinct states an
 env can show (24 on the 5x5 grid, 22 on the 6x6 maze), so the set has no
-cap. The first miss of a kind after a weight change evaluates it at every
-known state in one stacked pass, and each row becomes that state's entry; a
-state first seen at the current weights gets a one-row stack and joins the
-next fill. Each state of a stack is a ``(1, in)`` row of its own, so a row's
-bits do not depend on the other rows. A posterior fill also writes the
-policy rows, the softmax of its mean logits, so a method that reads both
-runs one policy-net forward per weight change.
+cap. Every miss evaluates its kind at every known state in one stacked
+pass, the state that missed included, and each row becomes the entry of a
+state that has none. Each state of a stack is a ``(1, in)`` row of its own,
+so a row's bits do not depend on the other rows. A posterior fill also
+writes the policy rows, the softmax of its mean logits, so a method that
+reads both runs one policy-net forward per weight change.
 
 A one-teacher agent never runs its identity net and draws no identity: the
 softmax of one finite logit is exactly 1.0, and the identity loss and
@@ -95,7 +94,6 @@ class PersonaAgent:
         self.id_net = MLP("id", state_dim, hidden, n_teachers, rng, lr)
         self._table: dict = {}
         self._table_version = None
-        self._filled: set[str] = set()  # kinds filled at the table's version
         self._known: dict[bytes, np.ndarray] = {}  # features by their bytes
         self._known_rows = None  # their stack, rebuilt when a state joins
 
@@ -106,7 +104,7 @@ class PersonaAgent:
         current weights. Every entry is read here."""
         version = (self.exe_net.params.version, self.id_net.params.version)
         if version != self._table_version:
-            self._table, self._filled = {}, set()
+            self._table = {}
             self._table_version = version
         entry = self._table.get(key)
         if entry is None:
@@ -122,28 +120,24 @@ class PersonaAgent:
                            lambda: self._fill(kind, features))
 
     def _fill(self, kind: str, features: np.ndarray) -> tuple:
-        """The entry of ``kind`` at a state that missed. The first miss of
-        ``kind`` at the current weights evaluates it at every known state in
-        one stack and writes each state's row; a later miss is a state first
-        seen since, which gets a one-row stack. A posterior fill also writes
-        the policy rows, the softmax of its mean logits."""
+        """The entry of ``kind`` at a state that missed: ``kind`` at every
+        known state, this one included, in one stack. A posterior fill also
+        writes the policy rows, the softmax of its mean logits."""
         state = features.tobytes()
         if state not in self._known:
             self._known[state] = features.copy()
             self._known_rows = np.stack(list(self._known.values()))
-        if kind in self._filled:
-            return tuple(x[0] for x in self._stack(kind, features[None]))
         stack = self._stack(kind, self._known_rows)
         self._write(kind, stack)
-        if kind == "posterior" and "policy" not in self._filled:
+        if kind == "posterior":
             self._write("policy", (softmax(stack[0]),))
         return self._table[(kind, state)]
 
     def _write(self, kind: str, stack: tuple) -> None:
-        """Each known state's row of ``stack`` becomes its entry of ``kind``."""
-        self._filled.add(kind)
+        """Each known state's row of ``stack`` becomes its entry of ``kind``
+        if it has none, so an entry stays one array at one weight version."""
         for known, row in zip(self._known, zip(*_read_only(stack))):
-            self._table[(kind, known)] = row  # read-only views of the stack
+            self._table.setdefault((kind, known), row)  # read-only views
 
     def _stack(self, kind: str, features: np.ndarray) -> tuple:
         """The arrays of ``kind`` at each state of a stack ``(S, in)``, each

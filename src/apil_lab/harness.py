@@ -83,8 +83,8 @@ RUN_FIELDS = {
     "train": ("env", "map_path", "teacher", "seed", "episodes", "lr", "sigma",
               "epsilon", "tau", "err_threshold", "n1", "n2", "probe_every",
               "probe_rollouts", "method", "inflation_n1s", "eval_every"),
-    "eval": ("env", "map_path", "teacher", "seed", "episodes", "tau",
-             "err_threshold", "n1", "n2", "method"),
+    "eval": ("env", "map_path", "teacher", "seed", "tau", "err_threshold",
+             "n1", "n2", "method"),
     "sweep": ("env", "map_path", "episodes", "lr", "sigma", "epsilon", "tau",
               "err_threshold", "n1", "n2", "probe_every", "probe_rollouts",
               "eval_every"),
@@ -122,6 +122,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint without updates")
     _add_run_args(p, "eval")
     p.add_argument("--load", required=True, help="checkpoint path")
+    p.add_argument("--episodes", type=_at_least(1), default=1000,
+                   help="frozen episodes walked")
     p.add_argument("--greedy", action="store_true",
                    help="argmax of the mean policy instead of sampling")
 
@@ -201,7 +203,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if unread:
         raise ValueError(f"checkpoint holds arrays that --method {cfg.method} "
                          f"does not read: {', '.join(sorted(unread))}")
-    summary = training.evaluate(agent, policy, env, committee, cfg.episodes,
+    summary = training.evaluate(agent, policy, env, committee, args.episodes,
                                 eval_rng, n1=cfg.n1, greedy_exe=args.greedy)
     print(json.dumps(summary))
     return EXIT_OK

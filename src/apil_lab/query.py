@@ -1,7 +1,8 @@
 """Query policies: hindsight progress labeling, learned ask nets, baselines.
 
-A finished trajectory only carries distances at queried steps plus the final
-step. Hindsight labeling sweeps backward over those observations: a step is
+A finished trajectory is its steps plus its final distance, and a queried
+step carries the distance its teacher's response observed. Hindsight
+labeling sweeps backward over those observations: a step is
 "progressable" when the final distance is within epsilon or some later
 observed pair shrinks the distance by a factor sigma, and progressable steps
 are labeled continue while the rest are labeled query. The ignore variant
@@ -42,22 +43,10 @@ class StepRecord(NamedTuple):
 @dataclass
 class Trajectory:
     steps: list[StepRecord]
-    distances: dict[int, float]  # keyed by step index; horizon entry required
+    final_dist: float  # the distance after the last step
 
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
-
-    def queried_steps(self) -> list[int]:
-        return [t for t, s in enumerate(self.steps) if s.ask_action == ASK_QUERY]
-
-    def validate(self) -> None:
-        T = self.horizon
-        if T not in self.distances:
-            raise ValueError("trajectory is missing its final distance")
-        for t in self.queried_steps():
-            if t not in self.distances:
-                raise ValueError(f"queried step {t} has no observed distance")
+    def queried_steps(self) -> list[StepRecord]:
+        return [s for s in self.steps if s.ask_action == ASK_QUERY]
 
 
 @dataclass(frozen=True)
@@ -80,17 +69,16 @@ def progress_flags(traj: Trajectory, cfg: ApilConfig) -> list[bool]:
     distance at each queried step against the minimum over later observed
     ones, seeded with the final one (d*, the teachers' final distance, is 0).
     """
-    traj.validate()
-    T = traj.horizon
-    d = traj.distances
-    g_min = d[T]
-    progress = d[T] <= cfg.epsilon
-    flags = [False] * T
-    for t in reversed(range(T)):
-        if traj.steps[t].ask_action == ASK_QUERY:
-            g_t = d[t]
-            progress = progress or g_t >= cfg.sigma * g_min
-            g_min = min(g_min, g_t)
+    g_min = traj.final_dist
+    progress = g_min <= cfg.epsilon
+    flags = [False] * len(traj.steps)
+    for t in reversed(range(len(flags))):
+        step = traj.steps[t]
+        if step.ask_action == ASK_QUERY:
+            if step.response is None:
+                raise ValueError(f"queried step {t} has no observed distance")
+            progress = progress or step.response.dist >= cfg.sigma * g_min
+            g_min = min(g_min, step.response.dist)
         flags[t] = progress
     return flags
 
@@ -250,7 +238,17 @@ class DaggerPolicy(AlwaysQueryPolicy):
     act_with_reference = False
 
 
-class HindsightQueryPolicy(QueryPolicyBase):
+class NetQueryPolicy(QueryPolicyBase):
+    """A learned ask policy, whose checkpoint arrays are its net's."""
+
+    def param_arrays(self):
+        return self.net.mlp.params.as_arrays()
+
+    def load_arrays(self, arrays):
+        self.net.mlp.params.load_arrays(arrays)
+
+
+class HindsightQueryPolicy(NetQueryPolicy):
     """Learned ask policy trained on hindsight labels after each episode.
 
     It samples its decisions while training and takes their argmax when
@@ -286,12 +284,6 @@ class HindsightQueryPolicy(QueryPolicyBase):
         self.net.mlp.update()
         return total / n_valid if n_valid else None
 
-    def param_arrays(self):
-        return self.net.mlp.params.as_arrays()
-
-    def load_arrays(self, arrays):
-        self.net.mlp.params.load_arrays(arrays)
-
 
 class ThresholdQueryPolicy(QueryPolicyBase):
     """Queries iff the per-step posterior uncertainty of its kind strictly
@@ -314,7 +306,7 @@ class ThresholdQueryPolicy(QueryPolicyBase):
         return ASK_QUERY if value > self.tau else ASK_CONTINUE
 
 
-class ErrPredQueryPolicy(QueryPolicyBase):
+class ErrPredQueryPolicy(NetQueryPolicy):
     """Queries when the predicted margin 1 - pi(a*|s) exceeds a threshold."""
 
     def __init__(self, net: ErrPredNet, threshold: float = 0.5):
@@ -329,7 +321,7 @@ class ErrPredQueryPolicy(QueryPolicyBase):
         """Regress the margin at each queried step; return the mean squared
         error. A queried step acted with the teacher's answer a* and holds
         the mean policy that ``decide`` saw."""
-        queried = [traj.steps[t] for t in traj.queried_steps()]
+        queried = traj.queried_steps()
         if not queried:
             return None
         features = np.array([step.features for step in queried])
@@ -340,9 +332,3 @@ class ErrPredQueryPolicy(QueryPolicyBase):
                                                   margins).sum())
         self.net.mlp.update()
         return total / len(queried)
-
-    def param_arrays(self):
-        return self.net.mlp.params.as_arrays()
-
-    def load_arrays(self, arrays):
-        self.net.mlp.params.load_arrays(arrays)

@@ -84,5 +84,5 @@ def estimate_teacher_final_distance(committee: Committee, env, n_rollouts: int,
     total = 0.0
     for _ in range(n_rollouts):
         traj = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
-        total += traj.distances[traj.horizon]
+        total += traj.final_dist
     return total / n_rollouts

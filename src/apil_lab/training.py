@@ -179,7 +179,6 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
     committee.select_member(rng)
     state = env.reset()
     steps: list[StepRecord] = []
-    distances: dict[int, float] = {}
     while not state.terminal:  # every env ends an episode at its horizon
         t = len(steps)
         features = env.encode(state)
@@ -198,7 +197,6 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
         response = None
         if ask == ASK_QUERY:
             response = committee.respond(env, state, rng)
-            distances[t] = response.dist
         if response is not None and policy.act_with_reference:
             action = response.exe_action
         elif greedy:
@@ -211,8 +209,7 @@ def rollout(agent: PersonaAgent | None, committee, env, policy,
                                 response=response))
         state = env.step(state, action)
 
-    distances[len(steps)] = env.distance(state)
-    return Trajectory(steps, distances)
+    return Trajectory(steps, env.distance(state))
 
 
 def run_episode(agent: PersonaAgent, committee, env, policy,
@@ -226,7 +223,7 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
     the episode's weights, the weights every step acted with.
     """
     traj = rollout(agent, committee, env, policy, rng, n1, train, greedy)
-    queried = [traj.steps[t] for t in traj.queried_steps()]
+    queried = traj.queried_steps()
     exe_loss = ask_loss = None
     if train:
         if queried:
@@ -237,11 +234,10 @@ def run_episode(agent: PersonaAgent, committee, env, policy,
         agent.end_episode_update()
         ask_loss = policy.end_episode(traj)
 
-    final_dist = traj.distances[traj.horizon]
     metrics = EpisodeMetrics(
         query_rate=len(queried) / env.horizon,
-        success=final_dist == 0.0,
-        final_dist=final_dist,
+        success=traj.final_dist == 0.0,
+        final_dist=traj.final_dist,
         exe_loss=exe_loss,
         ask_loss=ask_loss,
     )

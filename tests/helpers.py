@@ -14,18 +14,22 @@ from apil_lab.nncore import categorical_cdf, draw, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
                             HindsightQueryPolicy, StepRecord, Trajectory,
                             query_imitation_loss)
-from apil_lab.teachers import TeacherKind
+from apil_lab.teachers import TeacherKind, TeacherResponse
 from apil_lab.uncertainty import UncertaintyConfig, UncertaintyReport, entropy
 
 
 def make_trajectory(T, queried, distances):
-    """Trajectory of T dummy steps; ask = query exactly at ``queried`` indices."""
+    """Trajectory of T dummy steps; ask = query exactly at ``queried``
+    indices, each answered by a response observing ``distances[t]``, and
+    the final distance ``distances[T]``."""
     queried = set(queried)
     steps = [StepRecord(features=np.zeros(2), exe_action=0,
                         ask_action=ASK_QUERY if t in queried else ASK_CONTINUE,
-                        mean_policy=np.array([0.5, 0.5]), remaining=T - t)
+                        mean_policy=np.array([0.5, 0.5]), remaining=T - t,
+                        response=TeacherResponse(0, 0, float(distances[t]))
+                        if t in queried else None)
              for t in range(T)]
-    return Trajectory(steps, {int(k): float(v) for k, v in distances.items()})
+    return Trajectory(steps, float(distances[T]))
 
 
 def brute_force_labels(T, queried, distances, cfg: ApilConfig):

@@ -311,11 +311,12 @@ def _assert_one_state_entries(agent, states,
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stacked_fill_rows_equal_one_state_forwards(k):
-    """After an Adam step the first miss of rho (with its cdf), of the
-    policy rows and of the posterior each fills every known state in one
-    stack, whose rows are the states' one-state forwards; a state first seen
-    after the fill gets a one-row stack and joins the next one. A posterior
-    fill that comes first writes the policy rows too."""
+    """Every miss of rho (with its cdf), of the policy rows or of the
+    posterior evaluates its kind at every known state in one stack, the
+    missed state included, whose rows are the states' one-state forwards.
+    A state first seen after a fill gets a stack of all known states, and
+    the entries already read stay the same arrays. A posterior fill that
+    comes first writes the policy rows too."""
     rng = np.random.default_rng(20 + k)
     agent = _fresh(n_teachers=k, seed=k)
     states = list(rng.normal(size=(5, 25)))
@@ -325,7 +326,7 @@ def test_stacked_fill_rows_equal_one_state_forwards(k):
         agent.identity_probs(features)
         agent.policy_probs(features, 0)
         agent.logit_posterior(features)
-    assert calls == [(kind, 1) for kind in kinds] * 5
+    assert calls == [(kind, n) for n in range(1, 6) for kind in kinds]
     agent.exe_losses(np.stack(states[:2]),
                      [TeacherResponse(1, j % k, 2.0) for j in range(2)])
     agent.end_episode_update()
@@ -333,8 +334,11 @@ def test_stacked_fill_rows_equal_one_state_forwards(k):
     _assert_one_state_entries(agent, states)
     assert calls == [(kind, 5) for kind in kinds]
     new = rng.normal(size=25)
+    kept = [agent._per_state(kind, states[0]) for kind in kinds]
     _assert_one_state_entries(agent, [new])
-    assert calls[3:] == [(kind, 1) for kind in kinds]
+    assert calls[3:] == [(kind, 6) for kind in kinds]
+    assert all(agent._per_state(kind, states[0]) is entry
+               for kind, entry in zip(kinds, kept))
     agent.exe_losses(new[None], [TeacherResponse(0, k - 1, 1.0)])
     agent.end_episode_update()
     calls.clear()

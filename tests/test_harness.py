@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from apil_lab import training
 from apil_lab.agent import HEAD_PRECISION_NAME, PersonaAgent
 from apil_lab.envs import make_env
 from apil_lab.harness import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
@@ -151,17 +152,15 @@ def test_a_manifest_base_config_is_a_config_file(tmp_path, monkeypatch,
     outputs = {}
     for name, pre in runs.items():
         train_flags = [] if pre else values
-        eval_flags = [] if pre else ["--episodes", "20", "--n1", "3",
-                                     "--n2", "4"]
-        report_flags = [] if pre else ["--n1", "3", "--n2", "4"]
+        eval_flags = [] if pre else ["--n1", "3", "--n2", "4"]
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)  # stdout names relative paths
         capsys.readouterr()
         assert main([*pre, "train", *cell, *train_flags, "--out", "m.csv",
                      "--save", "a.ckpt"]) == EXIT_OK
-        assert main([*pre, "eval", *cell, *eval_flags,
+        assert main([*pre, "eval", *cell, *eval_flags, "--episodes", "20",
                      "--load", "a.ckpt"]) == EXIT_OK
-        assert main([*pre, "uncertainty-report", *cell[2:], *report_flags,
+        assert main([*pre, "uncertainty-report", *cell[2:], *eval_flags,
                      "--load", "a.ckpt", "--out", "u.csv"]) == EXIT_OK
         outputs[name] = [capsys.readouterr().out, *(
             Path(file).read_bytes() for file in ("m.csv", "m.csv.eval.csv",
@@ -261,6 +260,51 @@ def test_eval_loads_a_checkpoint(tmp_path, capsys):
     assert set(summary) == {"query_rate", "success_rate", "mean_final_dist"}
     assert main(["eval", "--load", str(tmp_path / "nope.ckpt"),
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
+
+
+def test_eval_walks_its_own_episodes_flag(tmp_path, monkeypatch, capsys):
+    """``eval --episodes`` is eval's walk count, 1000 unless given: a config
+    file's ``episodes``, a training length, does not set it."""
+    _, ckpt = _train(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"episodes": 3}))
+    walked = []
+
+    def evaluate(agent, policy, env, committee, n_episodes, *args, **kw):
+        walked.append(n_episodes)
+        return {}
+    monkeypatch.setattr(training, "evaluate", evaluate)
+    for argv in (["eval"], ["--config", str(config), "eval"],
+                 ["--config", str(config), "eval", "--episodes", "5"]):
+        assert main([*argv, "--load", str(ckpt)]) == EXIT_OK
+    assert walked == [1000, 1000, 5]
+    capsys.readouterr()
+    assert main(["eval", "--load", str(ckpt), "--episodes", "0"]) == EXIT_USAGE
+    assert "--episodes: must be at least 1" in capsys.readouterr().err
+
+
+def test_eval_prints_what_evaluate_returns(tmp_path, capsys):
+    """``eval`` and ``eval --greedy`` print the summary ``evaluate`` gives on
+    the same cell, seed and streams, with ``greedy_exe`` set by the flag."""
+    cell = ["--env", "maze", "--teacher", "tworand", "--method", "dagger",
+            "--seed", "4"]
+    _, ckpt = _train(tmp_path, *cell, "--episodes", "30")
+    cfg = RunConfig(env="maze", teacher="tworand", method="dagger", seed=4)
+    printed, summaries = [], []
+    for greedy in (False, True):
+        capsys.readouterr()
+        assert main(["eval", *cell, "--episodes", "40", "--load", str(ckpt),
+                     *(["--greedy"] if greedy else [])]) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+        init_rng, eval_rng = np.random.default_rng(cfg.seed).spawn(2)
+        env, committee, agent = training.build_cell(cfg, init_rng)
+        policy = training.make_query_policy(cfg, env, init_rng)
+        agent.load_arrays(load_checkpoint(ckpt))
+        summaries.append(json.dumps(training.evaluate(
+            agent, policy, env, committee, 40, eval_rng, n1=cfg.n1,
+            greedy_exe=greedy)) + "\n")
+    assert printed == summaries
+    assert summaries[0] != summaries[1]
 
 
 def test_train_makes_the_directories_of_its_output_files(tmp_path):

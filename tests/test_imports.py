@@ -1,11 +1,14 @@
 """The package's runtime imports only the standard library and numpy, reads
-every name it imports and every name its classes define, and importing the
-CLI loads only what every command needs."""
+every name it imports and every name its classes define, importing the CLI
+loads only what every command needs, and the benchmark's set-up probe finds
+every name it reads."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "apil_lab"
@@ -123,3 +126,14 @@ def test_importing_the_cli_leaves_command_only_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("workload", ["apil-grid", "intrun-grid",
+                                      "sweep-maze"])
+def test_the_benchmark_set_up_probe_runs(workload, monkeypatch):
+    """``perfbench/setup_probe.py`` imports ``estimate_teacher_final_distance``
+    and reads ``env.always_succeeds`` and ``cfg.probe_rollouts``; a change
+    that drops any of them fails here, not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import setup_probe
+    assert setup_probe.main(["--workload", workload, "--seed", "0"]) == 0

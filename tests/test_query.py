@@ -109,10 +109,14 @@ def test_config_validation():
 
 
 def test_trajectory_validation():
-    with pytest.raises(ValueError, match="final distance"):
-        make_trajectory(2, [], {}).validate()
-    with pytest.raises(ValueError, match="no observed distance"):
-        make_trajectory(3, [1], {3: 0.0}).validate()
+    """The final distance is a required field, and a queried step without
+    a response fails the labeller."""
+    with pytest.raises(TypeError, match="final_dist"):
+        Trajectory(make_trajectory(2, [], {2: 0.0}).steps)
+    traj = make_trajectory(3, [1], {1: 1.0, 3: 0.0})
+    traj.steps[1] = traj.steps[1]._replace(response=None)
+    with pytest.raises(ValueError, match="queried step 1 has no observed"):
+        progress_flags(traj, CFG)
 
 
 def test_querynet_untrained_is_near_uniform():
@@ -200,7 +204,7 @@ def test_errpred_policy_trains_on_the_queried_steps():
     policy = ErrPredQueryPolicy(ErrPredNet(2, 2, rng))
     step = StepRecord(features=np.zeros(2), exe_action=1,
                       ask_action=ASK_QUERY, mean_policy=np.array([0.2, 0.8]))
-    loss = policy.end_episode(Trajectory([step], {0: 1.0, 1: 0.0}))
+    loss = policy.end_episode(Trajectory([step], 0.0))
     assert loss == pytest.approx(0.8 ** 2, abs=1e-12)
 
 

@@ -198,7 +198,7 @@ def test_an_always_query_rollout_of_every_teacher_ends_at_the_goal(env,
     rng = np.random.default_rng(11)
     for _ in range(20):
         traj = rollout(None, committee, env, AlwaysQueryPolicy(), rng)
-        assert traj.distances[traj.horizon] == 0.0
+        assert traj.final_dist == 0.0
 
 
 def test_the_tight_map_leaves_no_step_to_spare():

@@ -54,7 +54,9 @@ def test_bc_episode_follows_the_teacher():
     traj, metrics = run_episode(agent, committee, env, AlwaysQueryPolicy(), rng)
     actions = [s.exe_action for s in traj.steps]
     assert actions == [GridWorld.RIGHT] * 4 + [GridWorld.DOWN] * 4
-    assert traj.distances == {t: float(8 - t) for t in range(9)}
+    assert [s.response.dist for s in traj.steps] == [float(8 - t)
+                                                   for t in range(8)]
+    assert traj.final_dist == 0.0
     assert metrics.query_rate == 1.0
     assert metrics.success
     assert metrics.exe_loss is not None
