@@ -6,9 +6,9 @@ of two Dense layers, optionally fed an Embedding row, that owns its ParamSet
 accumulates gradients, ``update`` applies them. A ParamSet keeps all its
 values in one flat buffer and all its gradients in another, each parameter
 being a reshaped view of both, so an Adam step or a zeroing is one pass over
-a buffer. Checkpoints use a small versioned binary container; see
-``save_checkpoint``. Every file the package writes goes through
-``atomic_open``, so it holds its old bytes or all of its new ones.
+a buffer. Checkpoints use a small versioned binary container that ends in
+a CRC-32; see ``save_checkpoint``. Every file the package writes goes
+through ``atomic_open``, so it holds its old bytes or all of its new ones.
 
 Rows are batched: a layer, the MLP and ``softmax_nll`` take one row or a
 stack ``(B, ...)`` of rows through the same code, and a backward pass sums
@@ -26,12 +26,13 @@ import contextlib
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 CHECKPOINT_MAGIC = b"APILCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CDF_SUM_TOLERANCE = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's
 
@@ -86,9 +87,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self}
@@ -406,32 +404,40 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
       bytes 8..11   uint32 format version
       bytes 12..15  uint32 JSON header length N
       bytes 16..16+N  UTF-8 JSON: {"params": [{"name": ..., "shape": [...]}, ...]}
-      remainder     row-major float64 little-endian values, in header order
+      then          row-major float64 little-endian values, in header order
+      last 4 bytes  uint32 ``zlib.crc32`` of every byte before them
     """
     header = {"params": [{"name": k, "shape": list(np.shape(v))}
                          for k, v in arrays.items()]}
     blob = json.dumps(header).encode("utf-8")
+    head = (CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
+            + len(blob).to_bytes(4, "little") + blob)
     with atomic_open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
+        fh.write(head)
+        crc = zlib.crc32(head)  # running, so the file is not held twice
         for v in arrays.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            piece = np.ascontiguousarray(v, dtype="<f8").tobytes()
+            fh.write(piece)
+            crc = zlib.crc32(piece, crc)
+        fh.write(crc.to_bytes(4, "little"))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a ``save_checkpoint`` file; anything else raises ``ValueError``."""
+    """Read a ``save_checkpoint`` file; anything else raises ``ValueError``.
+    A flipped bit or a cut fails the CRC-32, checked before the header."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version = int.from_bytes(fh.read(4), "little")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header_len = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        body = fh.read()
+        data = fh.read()
+    if data[:8] != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {data[:8]!r}")
+    content, crc = memoryview(data)[:-4], data[-4:]  # a view: no copy
+    if zlib.crc32(content) != int.from_bytes(crc, "little"):
+        raise ValueError("corrupt checkpoint: its CRC-32 does not match")
+    version = int.from_bytes(content[8:12], "little")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    header_len = int.from_bytes(content[12:16], "little")
+    header = json.loads(bytes(content[16:16 + header_len]).decode("utf-8"))
+    body = content[16 + header_len:]
     entries = header.get("params") if isinstance(header, dict) else None
     if not isinstance(entries, list):
         raise ValueError("checkpoint header has no params list")

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agent import PersonaAgent
-from .nncore import MLP, Dense, Embedding, ParamSet, softmax_nll
-from .query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ErrPredNet, QueryNet,
-                    StepRecord, query_imitation_loss)
-from .teachers import TeacherResponse
+from apil_lab.agent import PersonaAgent
+from apil_lab.nncore import MLP, Dense, Embedding, ParamSet, softmax_nll
+from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ErrPredNet,
+                            QueryNet, StepRecord, query_imitation_loss)
+from apil_lab.teachers import TeacherResponse
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -23,7 +23,7 @@ def check_params(params: ParamSet, loss_and_backward, loss_fn) -> float:
     """Max relative error between the gradients ``loss_and_backward()``
     accumulates and central finite differences of ``loss_fn()`` w.r.t.
     every parameter; the accumulated gradients are left in ``p.grad``."""
-    params.zero_grad()
+    params.grads.fill(0.0)
     loss_and_backward()
     errors = []
     for p in params:

@@ -24,7 +24,8 @@ import os
 import sys
 from pathlib import Path
 
-from apil_lab.gradcheck import run_all
+from gradcheck import run_all
+
 from apil_lab.harness import main
 from apil_lab.training import METHODS
 

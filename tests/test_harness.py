@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import write_checkpoint_bytes
 
 from apil_lab import training
 from apil_lab.agent import HEAD_PRECISION_NAME, PersonaAgent
@@ -43,6 +44,7 @@ def _mean_row(teacher, intrinsic, extrinsic):
 def test_usage_errors_exit_1(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+    assert main(["gradcheck"]) == EXIT_USAGE  # the oracle is a test
     assert "usage error" in capsys.readouterr().err
 
 
@@ -75,7 +77,6 @@ def test_bad_flag_values_from_a_config_file_exit_1(field, value, tmp_path,
 
 @pytest.mark.parametrize("from_config", [False, True])
 @pytest.mark.parametrize("command,field,value", [
-    ("gradcheck", "cases", 0), ("gradcheck", "cases", -1),
     ("sweep", "jobs", -1), ("uncertainty-report", "eval_episodes", 0),
 ])
 def test_counts_that_are_not_run_values_keep_their_rule(
@@ -83,8 +84,7 @@ def test_counts_that_are_not_run_values_keep_their_rule(
     """Flags outside RunConfig check their own bound, before any work. A
     config file holds RunConfig's fields alone: such a key in it is refused
     as unknown, before any work."""
-    required = {"gradcheck": [],
-                "sweep": ["--outdir", str(tmp_path / "s")],
+    required = {"sweep": ["--outdir", str(tmp_path / "s")],
                 "uncertainty-report": ["--load", str(tmp_path / "a.ckpt"),
                                        "--out", str(tmp_path / "u.csv")]}
     flag = "--" + field.replace("_", "-")
@@ -224,9 +224,17 @@ def test_a_config_file_of_train_values_serves_every_run_command(
 
 
 def test_config_file_failure_modes(tmp_path, capsys):
+    """Each bad file exits 1 naming what is wrong with it. The command has
+    all its flags and would exit 2 without the file, so each exit 1 is the
+    file's."""
+    report = ["report", "--kind", "fig4", "--in", str(tmp_path / "none_*"),
+              "--out", str(tmp_path / "o.csv")]
+    assert main(report) == EXIT_RUN_FAILURE
+    capsys.readouterr()
     bad_key = tmp_path / "bad.json"
     bad_key.write_text(json.dumps({"bogus": 1}))
-    assert main(["--config", str(bad_key), "gradcheck"]) == EXIT_USAGE
+    assert main(["--config", str(bad_key), *report]) == EXIT_USAGE
+    assert "unknown config field 'bogus'" in capsys.readouterr().err
     for key in ("out", "save", "load", "outdir"):  # a command's own flags
         bad_key.write_text(json.dumps({key: str(tmp_path / "x")}))
         assert main(["--config", str(bad_key), "train", *FAST]) == EXIT_USAGE
@@ -234,11 +242,17 @@ def test_config_file_failure_modes(tmp_path, capsys):
         assert not (tmp_path / "x").exists()
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
-    assert main(["--config", str(malformed), "gradcheck"]) == EXIT_USAGE
-    assert main(["--config", str(tmp_path / "missing.json"),
-                 "gradcheck"]) == EXIT_USAGE
-    assert main(["--config", str(tmp_path), "gradcheck"]) == EXIT_USAGE
-    capsys.readouterr()
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    for path, message in [
+            (malformed, "Expecting property name"),
+            (tmp_path / "missing.json", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+            (not_object, "config file must hold a JSON object")]:
+        assert main(["--config", str(path), *report]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_train_writes_csv_checkpoint_and_summary(tmp_path, capsys):
@@ -396,29 +410,46 @@ def test_map_without_the_maze_env_exits_1(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_jobs_0_counts_the_processors_it_may_run_on(monkeypatch,
-                                                         tmp_path, capsys):
-    """``--jobs 0`` takes the process's CPU affinity set where the OS has
-    one, and the machine's CPU count elsewhere."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each sweep pool, whose cells run on one thread
+    of this process."""
     import concurrent.futures
-    workers = []
+    sizes = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
+            sizes.append(max_workers)
+            super().__init__(1)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
+    return sizes
+
+
+def test_sweep_jobs_0_counts_the_processors_it_may_run_on(
+        pool_sizes, monkeypatch, tmp_path, capsys):
+    """``--jobs 0`` takes the process's CPU affinity set where the OS has
+    one, and the machine's CPU count elsewhere."""
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 4},
                         raising=False)
     sweep = ["sweep", *FAST, "--methods", "never", "--teachers", "detm",
-             "--seeds", "0", "--jobs", "0"]
+             "--seeds", "0,1,2,3,4,5", "--jobs", "0"]
     assert main([*sweep, "--outdir", str(tmp_path / "a")]) == EXIT_OK
     monkeypatch.delattr(os, "sched_getaffinity")
     assert main([*sweep, "--outdir", str(tmp_path / "b")]) == EXIT_OK
-    assert workers == [1, 5]
+    assert pool_sizes == [2, 5]
+    capsys.readouterr()
+
+
+def test_sweep_forks_no_more_workers_than_cells(pool_sizes, tmp_path, capsys):
+    """A pool forks all its workers at its first submit, so a one-cell
+    sweep asks for one, whatever ``--jobs`` says."""
+    assert main(["sweep", *FAST, "--methods", "never", "--teachers", "detm",
+                 "--seeds", "0", "--jobs", "64",
+                 "--outdir", str(tmp_path / "s")]) == EXIT_OK
+    assert pool_sizes == [1]
     capsys.readouterr()
 
 
@@ -577,13 +608,6 @@ def test_report_empty_glob(tmp_path, capsys):
     assert "no files match" in capsys.readouterr().err
 
 
-def test_gradcheck_command(capsys):
-    assert main(["gradcheck", "--cases", "2"]) == EXIT_OK
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
-    assert len(lines) == 6
-    assert all(ln.endswith("ok") for ln in lines)
-
-
 def test_uncertainty_report_cli(tmp_path, capsys):
     _, ckpt = _train(tmp_path)
     out = tmp_path / "uncrep.csv"
@@ -698,8 +722,7 @@ def test_checkpoint_with_a_nonfinite_weight_is_rejected(name, value, tmp_path,
 
 def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path, capsys):
     _, ckpt = _train(tmp_path)
-    with open(ckpt, "ab") as fh:
-        fh.write(bytes(8))
+    write_checkpoint_bytes(ckpt, ckpt.read_bytes()[:-4] + bytes(8))
     capsys.readouterr()
     assert main(["eval", "--load", str(ckpt),
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
@@ -719,8 +742,10 @@ def test_checkpoint_with_a_malformed_header_is_rejected(header, tmp_path,
                                                         capsys):
     blob = json.dumps(header).encode("utf-8")
     ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
-                     + len(blob).to_bytes(4, "little") + blob + bytes(16))
+    write_checkpoint_bytes(ckpt, CHECKPOINT_MAGIC
+                           + CHECKPOINT_VERSION.to_bytes(4, "little")
+                           + len(blob).to_bytes(4, "little") + blob
+                           + bytes(16))
     assert main(["eval", "--load", str(ckpt),
                  "--episodes", "1"]) == EXIT_RUN_FAILURE
     assert "checkpoint header" in capsys.readouterr().err

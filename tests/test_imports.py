@@ -114,11 +114,11 @@ def test_every_name_a_class_defines_is_read_somewhere():
 
 def test_importing_the_cli_leaves_command_only_modules_unloaded():
     """A fresh interpreter that imports the harness has not loaded what only
-    the sweep, its version string or gradcheck use. Nor has it loaded
+    the sweep or its version string use. Nor has it loaded
     ``numpy.random``: a sweep's main process draws no number, and the
     module adds about 6 MB to a resident set (numpy 2.4 on Linux)."""
     command_only = ("concurrent.futures", "subprocess", "importlib.metadata",
-                    "apil_lab.gradcheck", "numpy.random")
+                    "numpy.random")
     code = ("import sys, apil_lab.harness; "
             f"print([m for m in {command_only!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

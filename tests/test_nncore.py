@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from gradcheck import check_params
 from helpers import (PerParamAdam, every_block_backward,
-                     every_block_dense_backward)
+                     every_block_dense_backward, write_checkpoint_bytes)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apil_lab import gradcheck
 from apil_lab.agent import PersonaAgent
-from apil_lab.nncore import (CHECKPOINT_MAGIC, MLP, AdamState, Dense,
-                             DropoutSpec, Embedding, ParamSet, atomic_open,
+from apil_lab.nncore import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MLP,
+                             AdamState, Dense, DropoutSpec, Embedding,
+                             ParamSet, atomic_open,
                              categorical_cdf, draw, init_weight,
                              load_checkpoint,
                              sample_dropout_mask, save_checkpoint, softmax,
@@ -57,7 +60,7 @@ def test_dense_gradient_matches_finite_differences():
         y, cache = layer.forward(x)
         layer.backward(cache, softmax_nll(y, target)[2])
 
-    assert gradcheck.check_params(params, backward, loss) < 1e-4
+    assert check_params(params, backward, loss) < 1e-4
 
 
 def test_softmax_is_stable_for_huge_logits():
@@ -291,7 +294,7 @@ def test_paramset_views_share_one_buffer():
     assert np.array_equal(params.values, [-1] * 6 + [0, 0])
     b.grad[...] = 3.0
     assert np.array_equal(params.grads, [0] * 6 + [3, 3])
-    params.zero_grad()
+    params.grads.fill(0.0)
     assert not np.any(b.grad)
 
 
@@ -348,7 +351,7 @@ def test_repeated_index_rows_accumulate_every_gradient():
     _, cache = net.forward(x, 1)
     net.backward(cache, dy)
     once = {p.name: p.grad.copy() for p in net.params}
-    net.params.zero_grad()
+    net.params.grads.fill(0.0)
     _, cache = net.forward(np.stack([x, x]), np.array([1, 1]))
     net.backward(cache, np.stack([dy, dy]))
     for p in net.params:
@@ -454,7 +457,7 @@ def test_dense_reads_the_current_weights():
         dz = dy * (1.0 - y * y)
         want = np.concatenate([dz.T @ block for block in splits[0]], axis=1)
         assert params.grads[:15].tobytes() == want.tobytes()  # W's
-        params.zero_grad()
+        params.grads.fill(0.0)
 
     check()
     params.load_arrays({"l.W": rng.normal(size=(3, 5)),
@@ -576,17 +579,39 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
-    path = tmp_path / "v2"
-    path.write_bytes(CHECKPOINT_MAGIC + (2).to_bytes(4, "little")
-                     + (2).to_bytes(4, "little") + b"{}")
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
+    path = tmp_path / "v"
+    for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):
+        write_checkpoint_bytes(path, CHECKPOINT_MAGIC
+                               + version.to_bytes(4, "little")
+                               + (2).to_bytes(4, "little") + b"{}")
+        with pytest.raises(ValueError, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):
+    """A file whose CRC holds but whose header names more values than its
+    body has."""
     path = tmp_path / "ck"
     save_checkpoint(path, {"w": np.zeros(4)})
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
+    write_checkpoint_bytes(path, path.read_bytes()[:-4 - 8])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_flipped_bit_or_a_cut_checkpoint_is_refused(tmp_path_factory, data):
+    """Any one flipped bit, or any cut, of a checkpoint raises ValueError:
+    no corrupt file loads as arrays."""
+    path = tmp_path_factory.getbasetemp() / "flipped.ckpt"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3),
+                           "b": np.array([0.5, -1.5])})
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="flip"):
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    else:
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="cut"):]
+    path.write_bytes(blob)
+    with pytest.raises(ValueError):
         load_checkpoint(path)

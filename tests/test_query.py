@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from gradcheck import _small_query_net
 from helpers import (ReferenceHindsightPolicy, brute_force_labels,
                      lemma2_gradient_check, make_trajectory)
 
-from apil_lab import gradcheck, uncertainty
+from apil_lab import uncertainty
 from apil_lab.envs import EnvState, GridPos
 from apil_lab.nncore import categorical_cdf, softmax
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
@@ -35,7 +36,7 @@ def test_records_are_immutable_and_build_as_before():
     positionally and by keyword, and keep their defaults and repr."""
     state = EnvState(GridPos(0, 0), GridPos(4, 4), 0, False)
     response = TeacherResponse(1, 0, 2.0)
-    _, steps = gradcheck._small_query_net(np.random.default_rng(0), None)
+    _, steps = _small_query_net(np.random.default_rng(0), None)
     step = StepRecord(features=np.zeros(2), exe_action=0, ask_action=1)
     for record in (state, response, steps[0], step, _ctx()):
         for name in record._fields:
