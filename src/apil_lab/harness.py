@@ -298,15 +298,15 @@ def _describe_version() -> str:
 def visited_state_weights(agent, env, committee, n_episodes: int,
                           rng: np.random.Generator, n1: int = 5):
     """Unique states visited by the agent's own policy, with visit counts."""
-    seen: dict[bytes, tuple[np.ndarray, str, int]] = {}
+    seen: dict[int, tuple[np.ndarray, str, int]] = {}  # by cell
     for _ in range(n_episodes):
         traj = training.rollout(agent, committee, env, NeverQueryPolicy(),
                                 rng, n1)
         for step in traj.steps:
-            key = step.features.tobytes()
-            state_id = f"r{step.state.agent.row}c{step.state.agent.col}"
-            feats, sid, count = seen.get(key, (step.features, state_id, 0))
-            seen[key] = (feats, sid, count + 1)
+            pos = env.cells[step.state.cell]
+            feats, sid, count = seen.get(step.state.cell, (
+                step.features, f"r{pos.row}c{pos.col}", 0))
+            seen[step.state.cell] = (feats, sid, count + 1)
     return list(seen.values())
 
 

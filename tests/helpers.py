@@ -2,22 +2,31 @@
 policy sampler, loop oracles for the batched estimate, mean policy, episode
 backward and Adam step, an every-block backward, an agent without its
 forward table, the vector-path ask decision, the Lemma-2 gradient check,
-exact teacher distributions, maze free cells, the tau scan and a writer of
-hand-made checkpoint files."""
+exact teacher distributions, env states by cell, a step-by-step walk of
+the maze's rules and the grid's deflect arithmetic, the agent's exact
+never-query success, the tau scan and a writer of hand-made checkpoint
+files."""
 import zlib
+from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from apil_lab import training
 from apil_lab.agent import PersonaAgent, psd_factor
-from apil_lab.envs import GridPos
+from apil_lab.envs import (ENCODE_AGENT, ENCODE_GOAL, ENCODE_WALL, EnvState,
+                           GridPos)
 from apil_lab.nncore import categorical_cdf, draw, softmax, softmax_nll
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY, ApilConfig,
                             HindsightQueryPolicy, StepRecord, Trajectory,
                             query_imitation_loss)
 from apil_lab.teachers import TeacherKind, TeacherResponse
 from apil_lab.uncertainty import UncertaintyConfig, UncertaintyReport, entropy
+
+# a 6x6 room around a 2x2 block, where 17 of the 31 non-goal cells have two
+# reference actions, so two deterministic teachers often disagree
+OPEN_ROOM = Path(__file__).resolve().parent / "data" / "open_room.txt"
 
 
 def make_trajectory(T, queried, distances):
@@ -306,10 +315,105 @@ def action_distribution(committee, env, state, member=None) -> np.ndarray:
     return probs
 
 
-def free_cells(maze) -> list[GridPos]:
-    """Every cell of a maze that is not a wall."""
-    return [GridPos(r, c) for r in range(maze.n_rows) for c in range(maze.n_cols)
-            if not maze._walls[r, c]]
+def state_at(env, row, col, step_count=0) -> EnvState:
+    """The state of the agent at cell (row, col) after ``step_count`` steps,
+    terminal as ``env.step`` makes it: at the goal or at the horizon."""
+    cell = env.cells.index(GridPos(row, col))
+    at_goal = env.distance(EnvState(cell, step_count, False)) == 0.0
+    return EnvState(cell, step_count, at_goal or step_count == env.horizon)
+
+
+def maze_oracle_distances(map_text) -> dict[tuple, int]:
+    """Goal distance of every cell that reaches the goal, by a breadth-first
+    search over the four neighbours of a cell."""
+    rows = [line for line in map_text.splitlines() if line]
+    cells = {(r, c): ch for r, line in enumerate(rows) for c, ch in enumerate(line)}
+    goal = next(pos for pos, ch in cells.items() if ch == "G")
+    dist = {goal: 0}
+    frontier = deque([goal])
+    while frontier:
+        r, c = frontier.popleft()
+        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):
+            npos = (r + dr, c + dc)
+            if cells.get(npos, "#") != "#" and npos not in dist:
+                dist[npos] = dist[(r, c)] + 1
+                frontier.append(npos)
+    return dist
+
+
+class BumpWalk:
+    """Reference of a maze env, walked one step at a time from its map: a
+    cell is its ``(row, col)``, a move into a wall or off the board stays
+    put, the goal distances come from ``maze_oracle_distances``, a reference
+    action lowers the distance by one, and each encoding is a fresh row with
+    the agent's marker written over the goal's. ``deltas`` are the moves of
+    the env's actions."""
+
+    def __init__(self, map_text, horizon,
+                 deltas=((-1, 0), (0, 1), (1, 0), (0, -1))):
+        rows = [line for line in map_text.splitlines() if line]
+        self.map = {(r, c): ch for r, line in enumerate(rows)
+                    for c, ch in enumerate(line)}
+        self.n_cols = len(rows[0])
+        self.goal = next(pos for pos, ch in self.map.items() if ch == "G")
+        self.horizon = horizon
+        self.deltas = deltas
+        self.dist = maze_oracle_distances(map_text)
+
+    def move(self, pos, action):
+        dr, dc = self.deltas[action]
+        nxt = (pos[0] + dr, pos[1] + dc)
+        return nxt if self.map.get(nxt, "#") != "#" else pos
+
+    def step(self, pos, step_count, action):
+        """(cell, step count, terminal) after ``action``."""
+        nxt = self.move(pos, action)
+        count = step_count + 1
+        return nxt, count, nxt == self.goal or count == self.horizon
+
+    def refs(self, pos) -> tuple[int, ...]:
+        return tuple(a for a in range(len(self.deltas))
+                     if self.dist.get(self.move(pos, a)) == self.dist[pos] - 1)
+
+    def encode(self, pos) -> np.ndarray:
+        vec = np.zeros(len(self.map))
+        for (r, c), ch in self.map.items():
+            if ch == "#":
+                vec[r * self.n_cols + c] = ENCODE_WALL
+        vec[self.goal[0] * self.n_cols + self.goal[1]] = ENCODE_GOAL
+        vec[pos[0] * self.n_cols + pos[1]] = ENCODE_AGENT
+        return vec
+
+
+def grid_deflect(row, col, action, last=4) -> tuple[int, int]:
+    """The grid's move by arithmetic: right (0) or down (1), turned to the
+    other direction at the board's last column or row."""
+    if action == 0:
+        return (row, col + 1) if col < last else (row + 1, col)
+    return (row + 1, col) if row < last else (row, col + 1)
+
+
+def exact_alone_success(agent, env) -> float:
+    """Exact probability that the frozen agent, never asking, reaches the
+    goal from the start within the horizon.
+
+    V(c, r) = sum_a (rho_c @ P_c)[a] V(next_cell[c][a], r - 1), with V = 1
+    at the goal, which absorbs, and V(c, 0) = 0 elsewhere. rho_c @ P_c is
+    the exact action marginal of a sampled non-queried step: the mean
+    policy of N1 identity picks is (counts / N1) @ P_c with counts ~
+    Mult(N1, rho_c), whatever N1 is.
+    """
+    identities = np.arange(agent.n_teachers)
+    marginal = np.array([agent.identity_probs(row)
+                         @ agent.policy_probs(row, identities)
+                         for row in env.features])
+    at_goal = np.array([env.distance(EnvState(cell, 0, False)) == 0.0
+                        for cell in range(len(env.cells))])
+    following = np.array(env.next_cell)
+    value = at_goal.astype(float)
+    for _ in range(env.horizon):
+        value = np.where(at_goal, 1.0, (marginal * value[following]).sum(axis=1))
+    return float(value[env.reset().cell])
 
 
 TAU_GRID = tuple(round(0.05 * i, 2) for i in range(1, 21))

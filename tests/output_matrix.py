@@ -1,20 +1,22 @@
 """Byte-identity listing of the lab's outputs over every method and teacher.
 
-Runs short cells of all 9 methods x 4 teachers on the grid, the default maze
-and a custom ``--map`` through the CLI (``train --save`` with probes, eval
-and inflation on, then ``eval`` and ``uncertainty-report`` of the
-checkpoint), plus the gradient checks, and prints one ``sha256  path`` line
-per file, sorted by path. Every command's stdout is kept as a file too. The
-custom map's cells read their run values from ``--config map.json``, a JSON
-object of RunConfig fields (the form of a sweep manifest's ``base_config``);
-the other cells give them as flags, so one listing covers both paths.
+Runs short cells of all 9 methods x 4 teachers on the grid, the default maze,
+a custom ``--map`` and the open room of ``tests/data/open_room.txt`` (a map
+where most cells have two reference actions) through the CLI (``train
+--save`` with probes, eval and inflation on, then ``eval`` and
+``uncertainty-report`` of the checkpoint), plus the gradient checks, and
+prints one ``sha256  path`` line per file, sorted by path. Every command's
+stdout is kept as a file too. The custom map's cells read their run values
+from ``--config map.json``, a JSON object of RunConfig fields (the form of a
+sweep manifest's ``base_config``); the other cells give them as flags, so
+one listing covers both paths.
 Run it on two trees and diff the listings to show which outputs a change
 moved::
 
     PYTHONPATH=src python3 tests/output_matrix.py --outdir /tmp/a > a.txt
 
-It is not a test module (pytest does not collect it). It writes 867 files
-in about 15 s on one CPU (Python 3.11, numpy 2.4).
+It is not a test module (pytest does not collect it). It writes 1,156 files
+in about 35 s on one CPU of a shared 2-vCPU host (Python 3.11, numpy 2.4).
 """
 import argparse
 import contextlib
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 from gradcheck import run_all
+from helpers import OPEN_ROOM
 
 from apil_lab.harness import main
 from apil_lab.training import METHODS
@@ -32,7 +35,8 @@ from apil_lab.training import METHODS
 TEACHERS = ("detm", "rand", "tworand", "twodifdetm")
 CUSTOM_MAP = "S...\n.#..\n...#\n#..G\n"  # several reference actions per cell
 ENVS = {"grid": {"env": "grid"}, "maze": {"env": "maze"},
-        "map": {"env": "maze", "map_path": "map.txt"}}
+        "map": {"env": "maze", "map_path": "map.txt"},
+        "room": {"env": "maze", "map_path": "room.txt"}}
 
 
 def run(argv: list[str], stdout_file: str) -> None:
@@ -58,6 +62,7 @@ def write_outputs(episodes: int, cases: int) -> None:
     """Every cell's files and the gradcheck maxima, in the working
     directory."""
     Path("map.txt").write_text(CUSTOM_MAP)
+    Path("room.txt").write_text(OPEN_ROOM.read_text())
     for env, env_values in ENVS.items():
         values = {**env_values, "episodes": episodes, "probe_every": 5,
                   "inflation_n1s": [2, 8], "eval_every": 10}

@@ -10,19 +10,12 @@ from pathlib import Path
 import numpy as np
 from gradcheck import run_all as run_gradchecks
 from helpers import (brute_force_labels, lemma2_gradient_check,
-                     make_trajectory)
+                     make_trajectory, state_at)
 
-from apil_lab.envs import EnvState, GridPos
 from apil_lab.harness import make_table1
 from apil_lab.query import ApilConfig, QueryNet, StepRecord, apil_labels
 from apil_lab.training import (RunConfig, final_query_rate, final_success_rate,
                                read_csv, run_training)
-
-
-def _grid_state(env, row, col):
-    pos = GridPos(row, col)
-    return env.encode(EnvState(agent=pos, goal=GridPos(4, 4), step_count=0,
-                               terminal=pos == GridPos(4, 4)))
 
 
 def test_acceptance_01_grid_query_rate_collapse(apil_runs):
@@ -178,7 +171,7 @@ def test_acceptance_09_persona_capture(dagger_runs):
     captured = 0
     for row in range(4):
         for col in range(4):
-            features = _grid_state(env, row, col)
+            features = env.encode(state_at(env, row, col))
             right = int(np.argmax(split.agent.policy_probs(features, 0)))
             down = int(np.argmax(split.agent.policy_probs(features, 1)))
             captured += (right, down) == (env.RIGHT, env.DOWN)
@@ -189,7 +182,7 @@ def test_acceptance_09_persona_capture(dagger_runs):
     worst_tv = 0.0
     for row in range(5):
         for col in range(5):
-            features = _grid_state(twin.env, row, col)
+            features = twin.env.encode(state_at(twin.env, row, col))
             p0 = twin.agent.policy_probs(features, 0)
             p1 = twin.agent.policy_probs(features, 1)
             worst_tv = max(worst_tv, 0.5 * float(np.abs(p0 - p1).sum()))

@@ -10,7 +10,7 @@ from helpers import (ReferenceHindsightPolicy, brute_force_labels,
                      lemma2_gradient_check, make_trajectory)
 
 from apil_lab import uncertainty
-from apil_lab.envs import EnvState, GridPos
+from apil_lab.envs import EnvState
 from apil_lab.nncore import categorical_cdf, softmax
 from apil_lab.query import (ASK_CONTINUE, ASK_IGNORE, ASK_QUERY,
                             AlwaysQueryPolicy, ApilConfig, DaggerPolicy,
@@ -34,7 +34,7 @@ def _ctx(rng=None, mean=(0.5, 0.5), train=True):
 def test_records_are_immutable_and_build_as_before():
     """The four per-step records refuse a write to any field, build
     positionally and by keyword, and keep their defaults and repr."""
-    state = EnvState(GridPos(0, 0), GridPos(4, 4), 0, False)
+    state = EnvState(0, 0, False)
     response = TeacherResponse(1, 0, 2.0)
     _, steps = _small_query_net(np.random.default_rng(0), None)
     step = StepRecord(features=np.zeros(2), exe_action=0, ask_action=1)
@@ -48,9 +48,7 @@ def test_records_are_immutable_and_build_as_before():
             step.response) == (None, 0, None, None)
     assert repr(response) == ("TeacherResponse(exe_action=1, identity=0, "
                               "dist=2.0)")
-    assert repr(state) == ("EnvState(agent=GridPos(row=0, col=0), "
-                           "goal=GridPos(row=4, col=4), step_count=0, "
-                           "terminal=False)")
+    assert repr(state) == "EnvState(cell=0, step_count=0, terminal=False)"
 
 
 def test_labels_trivial_cases():

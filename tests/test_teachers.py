@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import action_distribution
+from helpers import action_distribution, state_at
 
-from apil_lab.envs import EnvState, GridPos, GridWorld, MazeGrid
+from apil_lab.envs import GridWorld, MazeGrid
 from apil_lab.query import AlwaysQueryPolicy
 from apil_lab.teachers import (TEACHER_MODELS, Committee, TeacherKind,
                                estimate_teacher_final_distance, make_committee)
@@ -25,10 +25,6 @@ S......
 """
 
 
-def _grid_state(row, col):
-    return EnvState(GridPos(row, col), GridPos(4, 4), 0, False)
-
-
 def test_committee_composition():
     assert make_committee("detm").members == (TeacherKind.DETM_FIRST,)
     assert make_committee("rand").members == (TeacherKind.RAND,)
@@ -46,14 +42,14 @@ def test_respond_deterministic_members():
     rng = np.random.default_rng(0)
     detm = make_committee("detm")
     detm.select_member(rng)
-    resp = detm.respond(env, _grid_state(2, 2), rng)
+    resp = detm.respond(env, state_at(env, 2, 2), rng)
     assert resp.exe_action == env.RIGHT
     assert resp.identity == 0
     assert resp.dist == 4.0
 
     two = make_committee("twodifdetm")
     two.active_member = 1
-    assert two.respond(env, _grid_state(2, 2), rng).exe_action == env.DOWN
+    assert two.respond(env, state_at(env, 2, 2), rng).exe_action == env.DOWN
 
 
 def test_respond_rand_on_singleton_set():
@@ -62,7 +58,7 @@ def test_respond_rand_on_singleton_set():
     rand = make_committee("rand")
     rand.select_member(rng)
     for _ in range(10):
-        assert rand.respond(env, _grid_state(4, 1), rng).exe_action == env.RIGHT
+        assert rand.respond(env, state_at(env, 4, 1), rng).exe_action == env.RIGHT
 
 
 def test_respond_contract_errors():
@@ -70,9 +66,9 @@ def test_respond_contract_errors():
     rng = np.random.default_rng(0)
     committee = make_committee("detm")
     with pytest.raises(ValueError, match="select_member"):
-        committee.respond(env, _grid_state(0, 0), rng)
+        committee.respond(env, state_at(env, 0, 0), rng)
     committee.select_member(rng)
-    terminal = EnvState(GridPos(4, 4), GridPos(4, 4), 8, True)
+    terminal = state_at(env, 4, 4, 8)
     with pytest.raises(ValueError, match="terminal"):
         committee.respond(env, terminal, rng)
 
@@ -104,11 +100,11 @@ def test_a_choice_among_one_draws_nothing():
 
     assert not any(draws(call) for call in (
         lambda: rng.integers(1), lambda: single.select_member(rng),
-        lambda: rand.respond(env, _grid_state(4, 1), rng),
-        lambda: rand.respond(env, _grid_state(1, 4), rng)))
+        lambda: rand.respond(env, state_at(env, 4, 1), rng),
+        lambda: rand.respond(env, state_at(env, 1, 4), rng)))
     assert all(draws(call) for call in (
         lambda: pair.select_member(rng),
-        lambda: rand.respond(env, _grid_state(1, 1), rng)))
+        lambda: rand.respond(env, state_at(env, 1, 1), rng)))
 
 
 def test_teacher_actions_stay_in_reference_set():
@@ -132,7 +128,7 @@ def test_ground_truth_uncertainty_of_rand():
         for col in range(5):
             if (row, col) == (4, 4):
                 continue
-            dist = action_distribution(committee, env, _grid_state(row, col), 0)
+            dist = action_distribution(committee, env, state_at(env, row, col), 0)
             expected = math.log(2) if row < 4 and col < 4 else 0.0
             assert entropy(dist) == pytest.approx(expected, abs=1e-12)
 
@@ -144,7 +140,7 @@ def test_ground_truth_extrinsic_of_tworand_is_zero():
         for col in range(5):
             if (row, col) == (4, 4):
                 continue
-            state = _grid_state(row, col)
+            state = state_at(env, row, col)
             members = [action_distribution(committee, env, state, m)
                        for m in range(2)]
             mixture = action_distribution(committee, env, state)
@@ -158,7 +154,7 @@ def test_ground_truth_uncertainty_of_twodifdetm():
     committee = make_committee("twodifdetm")
     for row in range(4):
         for col in range(4):
-            state = _grid_state(row, col)
+            state = state_at(env, row, col)
             members = [action_distribution(committee, env, state, m)
                        for m in range(2)]
             mixture = action_distribution(committee, env, state)

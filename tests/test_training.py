@@ -7,14 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import (ReferenceHindsightPolicy, UnmemoizedAgent, free_cells,
-                     tune_tau)
+from helpers import (OPEN_ROOM, ReferenceHindsightPolicy, UnmemoizedAgent,
+                     exact_alone_success, state_at, tune_tau)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apil_lab import teachers, training
 from apil_lab.agent import PersonaAgent
-from apil_lab.envs import EnvState, GridPos, GridWorld, make_env
+from apil_lab.envs import GridWorld, make_env
 from apil_lab.query import (ASK_CONTINUE, AlwaysQueryPolicy, ApilConfig,
                             DaggerPolicy, ErrPredQueryPolicy,
                             HindsightQueryPolicy, NeverQueryPolicy, QueryNet,
@@ -155,12 +155,9 @@ def test_known_states_are_the_non_goal_cells(method, env, teacher, cells):
     result = run_training(RunConfig(method=method, env=env, teacher=teacher,
                                     episodes=300, seed=0))
     env = result.env
-    goal = env.reset().goal
-    grid = [GridPos(r, c) for r in range(GridWorld.side)
-            for c in range(GridWorld.side)]
-    free = grid if isinstance(env, GridWorld) else free_cells(env)
-    non_goal = {env.encode(EnvState(pos, goal, 0, False)).tobytes()
-                for pos in free if pos != goal}
+    non_goal = {env.encode(state).tobytes()
+                for state in (state_at(env, *pos) for pos in env.cells)
+                if not state.terminal}  # a cell's state is terminal at the goal
     assert len(non_goal) == cells
     assert set(result.agent._known) <= non_goal
 
@@ -262,6 +259,30 @@ def test_evaluate_supports_greedy_exe():
     summary = evaluate(agent, policy, env, committee, 3, rng, greedy_exe=True)
     assert set(summary) == {"query_rate", "success_rate", "mean_final_dist"}
     assert summary["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("map_path", [None, str(OPEN_ROOM)],
+                         ids=["maze", "open-room"])
+@pytest.mark.parametrize("teacher", ["tworand", "twodifdetm"])
+def test_never_query_eval_matches_the_exact_alone_success(map_path, teacher):
+    """A never-query ``evaluate`` estimates the frozen agent's exact
+    chance of reaching the goal alone (``helpers.exact_alone_success``).
+    After 150 dagger episodes (seed 1), the success rate of 4,000 eval
+    episodes lies within |z| < 4 of it, z = (measured - exact) /
+    sqrt(exact (1 - exact) / 4000)."""
+    result = run_training(RunConfig(method="dagger", teacher=teacher,
+                                    env="maze", map_path=map_path,
+                                    episodes=150, seed=1))
+    n = 4000
+    measured = evaluate(result.agent, NeverQueryPolicy(), result.env,
+                        result.committee, n,
+                        np.random.default_rng(0))["success_rate"]
+    exact = exact_alone_success(result.agent, result.env)
+    z = (measured - exact) / math.sqrt(exact * (1.0 - exact) / n)
+    print(f"never-query success: exact {exact:.4f}, measured {measured:.4f}, "
+          f"z {z:.2f}")
+    assert 0.0 < exact < 1.0
+    assert abs(z) < 4.0
 
 
 def test_csv_round_trip_preserves_values(tmp_path):

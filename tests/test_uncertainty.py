@@ -4,12 +4,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from helpers import per_draw_estimate
+from helpers import per_draw_estimate, state_at
 
 from apil_lab import agent as agent_module
 from apil_lab import nncore
 from apil_lab.agent import PersonaAgent
-from apil_lab.envs import EnvState, GridPos, make_env
+from apil_lab.envs import make_env
 from apil_lab.teachers import TeacherResponse, make_committee
 from apil_lab.training import RunConfig, run_training
 from apil_lab.uncertainty import (UncertaintyConfig, aggregate, entropy,
@@ -197,7 +197,7 @@ def test_model_term_shrinks_with_queried_data():
     """README contract, free of identity-sampling inflation: one teacher, one
     state, many posterior draws."""
     env = make_env("grid", None)
-    features = env.encode(EnvState(GridPos(0, 0), GridPos(4, 4), 0, False))
+    features = env.encode(state_at(env, 0, 0))
     rng = np.random.default_rng(0)
     agent = PersonaAgent(env.state_dim, env.n_actions, 1, rng)
     cfg = UncertaintyConfig(1, 2000)
@@ -336,7 +336,7 @@ def test_estimate_builds_no_cdf(cdf_calls):
     estimate at a table hit builds no cdf, a stack's only cdf is the agent's
     stacked rho pass, and a stub's reader leaves a stack with none."""
     env = make_env("grid", None)
-    states = [env.encode(EnvState(GridPos(r, c), GridPos(4, 4), 0, False))
+    states = [env.encode(state_at(env, r, c))
               for r, c in ((0, 0), (2, 1), (3, 4))]
     agent = PersonaAgent(env.state_dim, env.n_actions, 2,
                          np.random.default_rng(0))
